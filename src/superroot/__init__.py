@@ -1,7 +1,8 @@
 """Exact root-data computations for split quasireductive supergroups."""
 
-from .lattice import DimensionMismatch, hnf, pair, pairing_kernel
+from .lattice import DimensionMismatch, hnf, pair
 from .rootdata import (
+    Family,
     OrderFunctional,
     PositiveSystem,
     SuperRootDatum,
@@ -12,7 +13,6 @@ from .rootdata import (
     build_p,
     build_q,
     build_semidirect,
-    chi_r_on_torus,
     datum_from_json,
     datum_to_json,
     default_order,

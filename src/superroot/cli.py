@@ -66,24 +66,17 @@ def parse_weights(text: str) -> List[Weight]:
 
 
 def build_datum(args) -> rootdata.SuperRootDatum:
-    family = args.family
-    if family == "gl":
-        if args.m is None or args.n is None:
-            raise rootdata.ParameterError("--family gl needs --m and --n")
-        return rootdata.build_gl(args.m, args.n)
-    if family == "q":
-        if args.n is None:
-            raise rootdata.ParameterError("--family q needs --n")
-        return rootdata.build_q(args.n)
-    if family == "p":
-        if args.n is None:
-            raise rootdata.ParameterError("--family p needs --n")
-        return rootdata.build_p(args.n)
-    if family == "file":
+    if args.family == "file":
         if not args.file:
             raise rootdata.ParameterError("--family file needs --file")
         return rootdata.load_datum(args.file)
-    raise rootdata.ParameterError("unknown family %r" % family)
+    gl = args.family == "gl"
+    params = (args.m, args.n) if gl else (args.n,)
+    if None in params:
+        raise rootdata.ParameterError(
+            "--family %s needs %s" % (args.family, "--m and --n" if gl else "--n")
+        )
+    return rootdata.Family(args.family, params).build()
 
 
 def get_order(args, datum: rootdata.SuperRootDatum) -> rootdata.OrderFunctional:
@@ -99,24 +92,18 @@ def get_order(args, datum: rootdata.SuperRootDatum) -> rootdata.OrderFunctional:
 
 
 def default_psi_odd(datum: rootdata.SuperRootDatum) -> List[Weight]:
-    label = datum.label
-    if label.startswith("gl(") and "|" in label:
-        m, n = (int(v) for v in label[3:-1].split("|"))
-        rank = m + n
-        w = [0] * rank
-        w[m - 1] = 1
-        w[m] = -1
-        return [tuple(w)]
-    if label.startswith("q("):
-        n = int(label[2:-1])
-        return [
-            tuple((1 if k == i else 0) - (1 if k == i + 1 else 0) for k in range(n))
-            for i in range(n - 1)
-        ]
-    if label.startswith("p("):
-        n = int(label[2:-1])
-        return [tuple(2 if k == n - 1 else 0 for k in range(n))]
-    raise rootdata.ParameterError("no default odd base for %r; pass --psi-odd" % label)
+    family = datum.family
+    if family is None:
+        raise rootdata.ParameterError(
+            "no default odd base for %r; pass --psi-odd" % datum.label
+        )
+    rank = datum.rank
+    if family.kind == "gl":
+        m = family.params[0]
+        return [lattice.unit_difference(rank, m - 1, m)]
+    if family.kind == "q":
+        return [lattice.unit_difference(rank, i, i + 1) for i in range(rank - 1)]
+    return [tuple(2 if k == rank - 1 else 0 for k in range(rank))]
 
 
 def get_psi(args, datum, order) -> Tuple[List[Weight], List[Weight]]:

@@ -12,7 +12,6 @@ the dimension can grow (division superalgebras); callers can consult
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Tuple
 
 from . import lattice
@@ -53,23 +52,6 @@ def gram_form(L: LieSuperAlgebra, lam: Weight, char_p: int = 0) -> CliffordForm:
     return form
 
 
-def _rank_rational(gram: Tuple[Tuple[int, ...], ...]) -> int:
-    rows = [[Fraction(v) for v in row] for row in gram]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                c = rows[i][col] / rows[rank][col]
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
 def _rank_mod_p(gram: Tuple[Tuple[int, ...], ...], p: int) -> int:
     rows = [[v % p for v in row] for row in gram]
     rank = 0
@@ -94,7 +76,7 @@ def form_rank(form: CliffordForm) -> int:
         return 0
     if form.char_p:
         return _rank_mod_p(form.gram, form.char_p)
-    return _rank_rational(form.gram)
+    return len(lattice.hnf(form.gram))
 
 
 def u_lambda_dim_closed(form: CliffordForm) -> Tuple[int, str]:

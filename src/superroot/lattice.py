@@ -49,6 +49,11 @@ def scale(c: int, a: Weight) -> Weight:
     return tuple(c * x for x in a)
 
 
+def unit_difference(rank: int, i: int, j: int) -> Weight:
+    """e_i - e_j (zero when i == j)."""
+    return tuple((k == i) - (k == j) for k in range(rank))
+
+
 def is_zero(a: Weight) -> bool:
     return all(x == 0 for x in a)
 
@@ -128,46 +133,15 @@ def hnf(rows: Iterable[Sequence[int]]) -> List[Weight]:
 def integer_kernel(vectors: Sequence[Sequence[int]], rank: int) -> List[Weight]:
     """Basis (HNF rows) of {x in Z^rank : dot(x, v) == 0 for all v}.
 
-    Equal to :func:`pairing_kernel`; kept as the generic name for reuse
-    outside the weight/coweight pairing context.
-    """
+    The rows of hnf([A^T | I]) whose image part is zero."""
     for v in vectors:
         check_rank(v, rank)
-    if not vectors:
-        return [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
     k = len(vectors)
-    # Rows [image | identity]; unimodular row ops; zero image part => kernel row.
     aug = [
         [vectors[t][i] for t in range(k)] + [1 if j == i else 0 for j in range(rank)]
         for i in range(rank)
     ]
-    # Column-by-column gcd elimination on the image part.
-    pivot_row = 0
-    for col in range(k):
-        nonzero = [i for i in range(pivot_row, rank) if aug[i][col]]
-        if not nonzero:
-            continue
-        i0 = nonzero[0]
-        aug[pivot_row], aug[i0] = aug[i0], aug[pivot_row]
-        for i in range(pivot_row + 1, rank):
-            if not aug[i][col]:
-                continue
-            a, b = aug[pivot_row][col], aug[i][col]
-            x, y, g = _xgcd(a, b)
-            ag, bg = a // g, b // g
-            ri, rp = aug[i], aug[pivot_row]
-            for j in range(k + rank):
-                rp[j], ri[j] = x * rp[j] + y * ri[j], ag * ri[j] - bg * rp[j]
-        pivot_row += 1
-        if pivot_row == rank:
-            break
-    kernel_rows = [r[k:] for r in aug if not any(r[:k])]
-    return hnf(kernel_rows)
-
-
-def pairing_kernel(covs: Sequence[Coweight], rank: int) -> List[Weight]:
-    """Integral basis of {lam : pair(lam, c) == 0 for every c in covs}."""
-    return integer_kernel(covs, rank)
+    return [r[k:] for r in hnf(aug) if not any(r[:k])]
 
 
 def saturate(rows: Sequence[Sequence[int]], rank: int) -> List[Weight]:

@@ -8,6 +8,7 @@ coordinate dicts {basis_index: coefficient}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -208,10 +209,6 @@ class LieSuperAlgebra:
 # Concrete families.
 
 
-def _diff_weight(rank: int, i: int, j: int) -> Weight:
-    return tuple((1 if k == i else 0) - (1 if k == j else 0) for k in range(rank))
-
-
 def gl_superalgebra(m: int, n: int) -> LieSuperAlgebra:
     if m < 1 or n < 1:
         raise ParameterError("gl(m|n) requires m, n >= 1")
@@ -222,7 +219,7 @@ def gl_superalgebra(m: int, n: int) -> LieSuperAlgebra:
         for j in range(size):
             mat = _zero_matrix(size)
             mat[i][j] = 1
-            weight = _diff_weight(size, i, j)
+            weight = lattice.unit_difference(size, i, j)
             same_block = (i < m) == (j < m)
             if same_block:
                 name = "H_%d" % (i + 1) if i == j else "X[%d,%d]" % (i + 1, j + 1)
@@ -247,18 +244,16 @@ def q_superalgebra(n: int) -> LieSuperAlgebra:
             mat[i][j] = 1
             mat[n + i][n + j] = 1
             name = "H_%d" % (i + 1) if i == j else "X[%d,%d]" % (i + 1, j + 1)
-            basis.append(
-                BasisElement(len(basis), EVEN, _diff_weight(n, i, j), _freeze(mat), name)
-            )
+            weight = lattice.unit_difference(n, i, j)
+            basis.append(BasisElement(len(basis), EVEN, weight, _freeze(mat), name))
     for i in range(n):
         for j in range(n):
             mat = _zero_matrix(size)
             mat[i][n + j] = 1
             mat[n + i][j] = 1
             name = "K_%d" % (i + 1) if i == j else "Y[%d,%d]" % (i + 1, j + 1)
-            basis.append(
-                BasisElement(len(basis), ODD, _diff_weight(n, i, j), _freeze(mat), name)
-            )
+            weight = lattice.unit_difference(n, i, j)
+            basis.append(BasisElement(len(basis), ODD, weight, _freeze(mat), name))
     return LieSuperAlgebra("q(%d)" % n, n, size, basis)
 
 
@@ -273,9 +268,8 @@ def p_superalgebra(n: int) -> LieSuperAlgebra:
             mat[i][j] = 1
             mat[n + j][n + i] = -1
             name = "H_%d" % (i + 1) if i == j else "X[%d,%d]" % (i + 1, j + 1)
-            basis.append(
-                BasisElement(len(basis), EVEN, _diff_weight(n, i, j), _freeze(mat), name)
-            )
+            weight = lattice.unit_difference(n, i, j)
+            basis.append(BasisElement(len(basis), EVEN, weight, _freeze(mat), name))
     # symmetric block: weights li + lj (diagonal gives 2*li)
     for i in range(n):
         for j in range(i, n):
@@ -309,18 +303,12 @@ def p_superalgebra(n: int) -> LieSuperAlgebra:
 
 
 def lie_algebra_for(datum: SuperRootDatum) -> LieSuperAlgebra:
-    """Instantiate the matrix model named by the datum's lie handle."""
-    handle = datum.lie_handle
-    if handle is None:
+    """Instantiate the matrix model of the datum's family."""
+    family = datum.family
+    if family is None:
         raise ParameterError("datum %r carries no Lie-algebra handle" % datum.label)
-    if handle.startswith("gl(") and "|" in handle:
-        m, n = handle[3:-1].split("|")
-        return gl_superalgebra(int(m), int(n))
-    if handle.startswith("q("):
-        return q_superalgebra(int(handle[2:-1]))
-    if handle.startswith("p("):
-        return p_superalgebra(int(handle[2:-1]))
-    raise ParameterError("unknown Lie-algebra handle %r" % handle)
+    make = {"gl": gl_superalgebra, "q": q_superalgebra, "p": p_superalgebra}[family.kind]
+    return make(*family.params)
 
 
 # ---------------------------------------------------------------------------
@@ -390,17 +378,9 @@ def subalgebra_closure(
         return []
     int_rows = []
     for _piv, row in rows:
-        den = 1
-        for v in row:
-            den = den * v.denominator // _gcd(den, v.denominator)
+        den = math.lcm(*(v.denominator for v in row))
         int_rows.append([int(v * den) for v in row])
     return lattice.saturate(int_rows, L.dim)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ weight zero never appears among the odd roots; it is carried by
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -52,14 +53,52 @@ def check_positive(r: int, name: str = "r") -> None:
         raise ParameterError("%s must be >= 1, got %r" % (name, r))
 
 
+_FAMILY_TEXT = re.compile(r"(gl|q|p)\(([1-9][0-9]{0,8})(?:\|([1-9][0-9]{0,8}))?\)")
+
+
+@dataclass(frozen=True)
+class Family:
+    """A built-in family: ``kind`` "gl" with params (m, n), or "q" or "p"
+    with params (n,).  Its text form ``gl(m|n)``, ``q(n)``, ``p(n)`` is
+    the datum JSON's ``lie_handle``."""
+
+    kind: str
+    params: Tuple[int, ...]
+
+    def __str__(self) -> str:
+        return "%s(%s)" % (self.kind, "|".join(str(v) for v in self.params))
+
+    @staticmethod
+    def parse(text) -> "Family":
+        """Read ``gl(m|n)``, ``q(n)`` or ``p(n)``; anything else raises."""
+        match = _FAMILY_TEXT.fullmatch(text) if isinstance(text, str) else None
+        if match is None or (match[1] == "gl") != bool(match[3]):
+            raise DatumValidationError(
+                "lie_handle: expected gl(m|n), q(n) or p(n), got %r" % (text,)
+            )
+        return Family(match[1], tuple(int(v) for v in match.groups()[1:] if v))
+
+    @property
+    def shape(self) -> Tuple[int, int, int]:
+        """Rank and the numbers of even and of odd roots of the built datum."""
+        if self.kind == "gl":
+            m, n = self.params
+            return m + n, m * (m - 1) + n * (n - 1), 2 * m * n
+        (n,) = self.params
+        return n, n * (n - 1), n * n if self.kind == "p" else n * (n - 1)
+
+    def build(self) -> "SuperRootDatum":
+        return {"gl": build_gl, "q": build_q, "p": build_p}[self.kind](*self.params)
+
+
 @dataclass(frozen=True)
 class SuperRootDatum:
     rank: int
     even_roots: Tuple[Tuple[Weight, Coweight], ...]
     odd_roots: Tuple[Tuple[Weight, int], ...]
     h_odd_dim: int
-    label: str
-    lie_handle: Optional[str] = None
+    label: str  # display text only
+    family: Optional[Family] = None
 
     def __post_init__(self) -> None:
         if self.rank < 0:
@@ -155,7 +194,7 @@ class OrderFunctional:
 def default_order(datum: SuperRootDatum) -> OrderFunctional:
     """The standard order for built-in families: GL/Q use -i, P uses n-i+1."""
     n = datum.rank
-    if datum.label.startswith("p("):
+    if datum.family is not None and datum.family.kind == "p":
         return OrderFunctional.from_values([n - i for i in range(n)])
     return OrderFunctional.from_values([-(i + 1) for i in range(n)])
 
@@ -208,119 +247,64 @@ def simple_even_roots(datum: SuperRootDatum, order: OrderFunctional) -> List[Wei
 # Builders for the named families.
 
 
-def _gl_coroot(rank: int, i: int, j: int) -> Coweight:
-    c = [0] * rank
-    c[i] = 1
-    c[j] = -1
-    return tuple(c)
-
-
-def _unit(rank: int, i: int, value: int = 1) -> Weight:
-    w = [0] * rank
-    w[i] = value
-    return tuple(w)
+def _type_a_roots(rank: int) -> List[Tuple[int, int, Weight]]:
+    """(i, j, e_i - e_j) for i != j, row by row; each root is its own coroot."""
+    return [
+        (i, j, lattice.unit_difference(rank, i, j))
+        for i in range(rank)
+        for j in range(rank)
+        if i != j
+    ]
 
 
 def build_gl(m: int, n: int) -> SuperRootDatum:
     """General linear family gl(m|n): cross-block differences are odd."""
     if m < 1 or n < 1:
         raise ParameterError("build_gl requires m, n >= 1")
-    rank = m + n
     even: List[Tuple[Weight, Coweight]] = []
     odd: List[Tuple[Weight, int]] = []
-    for i in range(rank):
-        for j in range(rank):
-            if i == j:
-                continue
-            root = tuple(
-                1 if k == i else (-1 if k == j else 0) for k in range(rank)
-            )
-            same_block = (i < m) == (j < m)
-            if same_block:
-                even.append((root, _gl_coroot(rank, i, j)))
-            else:
-                odd.append((root, 1))
-    return SuperRootDatum(
-        rank=rank,
-        even_roots=tuple(even),
-        odd_roots=tuple(odd),
-        h_odd_dim=0,
-        label="gl(%d|%d)" % (m, n),
-        lie_handle="gl(%d|%d)" % (m, n),
-    )
+    for i, j, root in _type_a_roots(m + n):
+        if (i < m) == (j < m):
+            even.append((root, root))
+        else:
+            odd.append((root, 1))
+    family = Family("gl", (m, n))
+    return SuperRootDatum(m + n, tuple(even), tuple(odd), 0, str(family), family)
 
 
 def build_q(n: int) -> SuperRootDatum:
     """Queer family q(n): even and odd roots coincide, odd Cartan of dim n."""
     if n < 1:
         raise ParameterError("build_q requires n >= 1")
-    even: List[Tuple[Weight, Coweight]] = []
-    odd: List[Tuple[Weight, int]] = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            root = tuple(1 if k == i else (-1 if k == j else 0) for k in range(n))
-            even.append((root, _gl_coroot(n, i, j)))
-            odd.append((root, 1))
-    return SuperRootDatum(
-        rank=n,
-        even_roots=tuple(even),
-        odd_roots=tuple(odd),
-        h_odd_dim=n,
-        label="q(%d)" % n,
-        lie_handle="q(%d)" % n,
-    )
+    roots = [root for _, _, root in _type_a_roots(n)]
+    family = Family("q", (n,))
+    even = tuple((r, r) for r in roots)
+    return SuperRootDatum(n, even, tuple((r, 1) for r in roots), n, str(family), family)
 
 
 def build_p(n: int) -> SuperRootDatum:
     """Periplectic family p(n): odd roots +-(li+lj) for i<j and 2*lt."""
     if n < 2:
         raise ParameterError("build_p requires n >= 2")
-    even: List[Tuple[Weight, Coweight]] = []
     odd: List[Tuple[Weight, int]] = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            root = tuple(1 if k == i else (-1 if k == j else 0) for k in range(n))
-            even.append((root, _gl_coroot(n, i, j)))
     for i in range(n):
         for j in range(i + 1, n):
             plus = tuple(1 if k in (i, j) else 0 for k in range(n))
             odd.append((plus, 1))
             odd.append((lattice.neg(plus), 1))
     for t in range(n):
-        odd.append((_unit(n, t, 2), 1))
-    return SuperRootDatum(
-        rank=n,
-        even_roots=tuple(even),
-        odd_roots=tuple(odd),
-        h_odd_dim=0,
-        label="p(%d)" % n,
-        lie_handle="p(%d)" % n,
-    )
+        odd.append((tuple(2 if k == t else 0 for k in range(n)), 1))
+    family = Family("p", (n,))
+    even = tuple((r, r) for _, _, r in _type_a_roots(n))
+    return SuperRootDatum(n, even, tuple(odd), 0, str(family), family)
 
 
 def build_gl_even(n: int) -> SuperRootDatum:
     """Purely even GL_n datum, the reductive backbone for semidirect twists."""
     if n < 1:
         raise ParameterError("build_gl_even requires n >= 1")
-    even: List[Tuple[Weight, Coweight]] = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            root = tuple(1 if k == i else (-1 if k == j else 0) for k in range(n))
-            even.append((root, _gl_coroot(n, i, j)))
-    return SuperRootDatum(
-        rank=n,
-        even_roots=tuple(even),
-        odd_roots=(),
-        h_odd_dim=0,
-        label="gl_%d" % n,
-        lie_handle=None,
-    )
+    even = tuple((r, r) for _, _, r in _type_a_roots(n))
+    return SuperRootDatum(n, even, (), 0, "gl_%d" % n)
 
 
 def build_semidirect(even_datum: SuperRootDatum, chars: Sequence[Weight]) -> SuperRootDatum:
@@ -347,7 +331,6 @@ def build_semidirect(even_datum: SuperRootDatum, chars: Sequence[Weight]) -> Sup
         odd_roots=odd,
         h_odd_dim=zero_count,
         label="%s:semidirect[%d]" % (even_datum.label, len(chars)),
-        lie_handle=None,
     )
 
 
@@ -369,15 +352,6 @@ def odd_root_sum(datum: SuperRootDatum) -> Weight:
     for root, mult in datum.odd_roots:
         total = lattice.add(total, lattice.scale(mult, root))
     return total
-
-
-def chi_r_on_torus(datum: SuperRootDatum) -> Weight:
-    """Exponent weight of the distinguished character restricted to the torus.
-
-    The even contribution cancels because the even roots sum to zero, so
-    the value is the weighted odd-root sum, independent of r.
-    """
-    return odd_root_sum(datum)
 
 
 def is_unimodular_char0(datum: SuperRootDatum) -> UnimodularityReport:
@@ -476,8 +450,8 @@ def datum_to_json(datum: SuperRootDatum) -> dict:
         "odd_roots": [{"root": list(r), "mult": m} for r, m in datum.odd_roots],
         "h_odd_dim": datum.h_odd_dim,
     }
-    if datum.lie_handle is not None:
-        out["lie_handle"] = datum.lie_handle
+    if datum.family is not None:
+        out["lie_handle"] = str(datum.family)
     return out
 
 
@@ -518,17 +492,42 @@ def datum_from_json(data: dict) -> SuperRootDatum:
         if not isinstance(entry["mult"], int):
             raise DatumValidationError("%s.mult: expected an integer" % where)
         odd.append((_as_int_list(entry["root"], where + ".root"), entry["mult"]))
+    handle = data.get("lie_handle")
     try:
-        return SuperRootDatum(
+        datum = SuperRootDatum(
             rank=data["rank"],
             even_roots=tuple(even),
             odd_roots=tuple(odd),
             h_odd_dim=data["h_odd_dim"],
             label=data["label"],
-            lie_handle=data.get("lie_handle"),
+            family=None if handle is None else Family.parse(handle),
         )
     except DatumValidationError as exc:
         raise DatumValidationError("$.%s" % exc.args[0]) from exc
+    if datum.family is not None and not _has_family_roots(datum, datum.family):
+        raise DatumValidationError(
+            "$.lie_handle: the roots are not those of %s" % datum.family
+        )
+    return datum
+
+
+def _has_family_roots(datum: SuperRootDatum, family: Family) -> bool:
+    """Whether the datum has the rank, roots and odd Cartan of the family's
+    builder.  The rank and the root counts are compared first: the given
+    roots each have ``rank`` entries, so the builder never makes a datum
+    larger than the one given."""
+    if (datum.rank, len(datum.even_roots), len(datum.odd_roots)) != family.shape:
+        return False
+    try:
+        ref = family.build()
+    except ParameterError:
+        return False
+    return (
+        ref.rank == datum.rank
+        and set(ref.even_roots) == set(datum.even_roots)
+        and dict(ref.odd_roots) == dict(datum.odd_roots)
+        and ref.h_odd_dim == datum.h_odd_dim
+    )
 
 
 def load_datum(path: str) -> SuperRootDatum:

@@ -58,36 +58,24 @@ def is_dominant(datum: SuperRootDatum, order: OrderFunctional, lam: Weight) -> b
     return True
 
 
-def _family_params(family) -> Tuple[str, Tuple[int, ...]]:
-    label = family.label if isinstance(family, SuperRootDatum) else str(family)
-    if label.startswith("gl(") and "|" in label:
-        m, n = label[3:-1].split("|")
-        return "gl", (int(m), int(n))
-    if label.startswith("q("):
-        return "q", (int(label[2:-1]),)
-    raise UnsupportedFamilyError(
-        "no flat-weight characterization for family %r" % label
-    )
+def _has_flat_rule(datum: SuperRootDatum) -> bool:
+    return datum.family is not None and datum.family.kind in ("gl", "q")
 
 
-def supports_flat(family) -> bool:
-    try:
-        _family_params(family)
-        return True
-    except UnsupportedFamilyError:
-        return False
-
-
-def is_flat(family, p: int, lam: Weight) -> bool:
+def is_flat(datum: SuperRootDatum, p: int, lam: Weight) -> bool:
     """Membership in the set of weights with nonvanishing induced module.
 
     For q(n) this is the exact arithmetic condition (weakly decreasing,
     with equal neighbours divisible by p); for gl(m|n) it is blockwise
     dominance.  Other families raise.
     """
-    kind, params = _family_params(family)
+    if not _has_flat_rule(datum):
+        raise UnsupportedFamilyError(
+            "no flat-weight characterization for family %r" % datum.label
+        )
     if p != 0 and (p < 3 or p % 2 == 0):
         raise ParameterError("p must be 0 or an odd prime, got %r" % (p,))
+    kind, params = datum.family.kind, datum.family.params
     if kind == "q":
         (n,) = params
         lattice.check_rank(lam, n)
@@ -146,13 +134,30 @@ def _kform_vector(L: LieSuperAlgebra, alpha: Weight) -> Weight:
     return tuple(mat[i][i] for i in range(L.rank))
 
 
-def _check_flat_pre(datum: SuperRootDatum, order: OrderFunctional, lam: Weight, p: int):
-    """Flat check when the family has one, dominance otherwise.
+def _restriction_rows(
+    datum: SuperRootDatum,
+    L: LieSuperAlgebra,
+    psi_even: Sequence[Weight],
+    psi_odd: Sequence[Weight],
+) -> List[Tuple[Weight, Weight, Optional[Weight]]]:
+    """(alpha, coroot, K-form vector) per simple even root, in sorted order;
+    the vector is None when alpha is not also in the odd base."""
+    psi_odd_set = {tuple(w) for w in psi_odd}
+    return [
+        (a, datum.coroot_of(a), _kform_vector(L, a) if a in psi_odd_set else None)
+        for a in sorted(tuple(w) for w in psi_even)
+    ]
 
-    Returns (ok, weakened)."""
-    if supports_flat(datum):
-        return is_flat(datum, p, lam), False
-    return is_dominant(datum, order, lam), True
+
+def _bound(
+    lam: Weight, kvec: Optional[Weight], p: int, q: int
+) -> Tuple[Optional[int], int]:
+    """lam(K_alpha) (None off the odd base) and the bound on lam's pairing
+    with the coroot: q = p^r when p does not divide lam(K_alpha), else q - 1."""
+    if kvec is None:
+        return None, q - 1
+    kval = lattice.pair(lam, kvec)
+    return kval, q - 1 if kval % p == 0 else q
 
 
 def is_restricted(
@@ -182,28 +187,18 @@ def is_restricted(
                 "(psi_even, psi_odd) is not an admissible base: %s"
                 % "; ".join(report.failures)
             )
-    flat_ok, weakened = _check_flat_pre(datum, order, lam, p)
-    if not flat_ok:
+    weakened = not _has_flat_rule(datum)
+    if not (is_dominant(datum, order, lam) if weakened else is_flat(datum, p, lam)):
         raise FlatnessError(
             "weight %r fails the %s precondition"
             % (lam, "dominance" if weakened else "flatness")
         )
-    psi_odd_set = {tuple(w) for w in psi_odd}
     checks: List[PerRootCheck] = []
-    q = p**r
-    for alpha in sorted(tuple(w) for w in psi_even):
-        pairing = lattice.pair(lam, datum.coroot_of(alpha))
-        if alpha in psi_odd_set:
-            kvec = _kform_vector(L, alpha)
-            kval = lattice.pair(lam, kvec)
-            bound = q - 1 if kval % p == 0 else q
-            checks.append(
-                PerRootCheck(alpha, "shared", pairing, kval, bound, pairing <= bound)
-            )
-        else:
-            checks.append(
-                PerRootCheck(alpha, "even-only", pairing, None, q - 1, pairing <= q - 1)
-            )
+    for alpha, coroot, kvec in _restriction_rows(datum, L, psi_even, psi_odd):
+        pairing = lattice.pair(lam, coroot)
+        kval, bound = _bound(lam, kvec, p, p**r)
+        kind = "even-only" if kvec is None else "shared"
+        checks.append(PerRootCheck(alpha, kind, pairing, kval, bound, pairing <= bound))
     return RestrictionReport(
         weight=tuple(lam),
         p=p,
@@ -262,34 +257,14 @@ def steinberg_decompose(
                 "(psi_even, psi_odd) is not an admissible base: %s"
                 % "; ".join(base_report.failures)
             )
-    flat_ok, weakened = _check_flat_pre(datum, order, lam, p)
-    if not flat_ok:
-        raise FlatnessError("weight %r fails the flatness precondition" % (lam,))
+    weakened = not _has_flat_rule(datum)
 
     def passes_flat(w: Weight) -> bool:
-        ok, _ = _check_flat_pre(datum, order, w, p)
-        return ok
+        return is_dominant(datum, order, w) if weakened else is_flat(datum, p, w)
 
-    psi_even_sorted = sorted(tuple(w) for w in psi_even)
-    psi_odd_set = {tuple(w) for w in psi_odd}
-    even_only = [
-        (a, datum.coroot_of(a)) for a in psi_even_sorted if a not in psi_odd_set
-    ]
-    shared = [
-        (a, datum.coroot_of(a), _kform_vector(L, a))
-        for a in psi_even_sorted
-        if a in psi_odd_set
-    ]
-
-    def restricted_r1(w: Weight) -> bool:
-        for _a, coroot in even_only:
-            if lattice.pair(w, coroot) > p - 1:
-                return False
-        for _a, coroot, kvec in shared:
-            bound = p - 1 if lattice.pair(w, kvec) % p == 0 else p
-            if lattice.pair(w, coroot) > bound:
-                return False
-        return True
+    if not passes_flat(lam):
+        raise FlatnessError("weight %r fails the flatness precondition" % (lam,))
+    rows = _restriction_rows(datum, L, psi_even, psi_odd)
 
     radius = _search_radius(radius)
     shifts = _shift_boxes(datum.rank, radius)
@@ -323,7 +298,10 @@ def steinberg_decompose(
                 continue
             if not passes_flat(digit):
                 continue
-            if not restricted_r1(digit):
+            if any(
+                lattice.pair(digit, coroot) > _bound(digit, kvec, p, p)[1]
+                for _a, coroot, kvec in rows
+            ):
                 continue
             if not passes_flat(nxt):
                 continue

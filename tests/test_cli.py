@@ -3,7 +3,7 @@ import json
 import pytest
 
 from superroot.cli import main
-from superroot.rootdata import build_q, datum_to_json
+from superroot.rootdata import build_gl, build_q, datum_to_json
 
 
 def run(capsys, *argv):
@@ -179,3 +179,64 @@ def test_table_output(capsys):
     code, out = run(capsys, "flatcheck", "--family", "q", "--n", "2", "--p", "3", "--weight", "1,-2")
     assert code == 0
     assert "flat" in out and "true" in out
+
+
+def _datum_file(tmp_path, datum, **changes):
+    data = dict(datum_to_json(datum), **changes)
+    if data.get("lie_handle") is None:
+        data.pop("lie_handle", None)
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+EMPTY_RANK_2 = {
+    "rank": 2, "even_roots": [], "odd_roots": [], "h_odd_dim": 0, "lie_handle": None
+}
+UNSUPPORTED = "UnsupportedFamilyError"
+
+
+@pytest.mark.parametrize(
+    "datum, changes, verb, error",
+    [
+        # A label alone never names a family.
+        (build_q(2), {"label": "q(x)", "lie_handle": None}, "flatcheck", UNSUPPORTED),
+        (build_gl(2, 1), {"label": "gl(2|a)", "lie_handle": None}, "flatcheck", UNSUPPORTED),
+        (build_q(2), dict(EMPTY_RANK_2, label="q(2)"), "flatcheck", UNSUPPORTED),
+        # A handle must name a family whose roots the datum has.
+        (build_q(2), {"lie_handle": "q(x)"}, "admissible", "DatumValidationError"),
+        (build_q(2), {"lie_handle": "q(x)"}, "decompose", "DatumValidationError"),
+        (build_q(2), {"lie_handle": 5}, "admissible", "DatumValidationError"),
+        (build_q(2), {"lie_handle": 5}, "decompose", "DatumValidationError"),
+        (build_q(2), {"lie_handle": "p(3)"}, "admissible", "DatumValidationError"),
+        (build_q(2), {"lie_handle": "p(3)"}, "flatcheck", "DatumValidationError"),
+    ],
+    ids=[
+        "label-q(x)", "label-gl(2|a)", "empty-label-q(2)", "handle-q(x)-admissible",
+        "handle-q(x)-decompose", "handle-5-admissible", "handle-5-decompose",
+        "handle-p(3)-admissible", "handle-p(3)-flatcheck",
+    ],
+)
+def test_file_datum_family_errors(capsys, tmp_path, datum, changes, verb, error):
+    path = _datum_file(tmp_path, datum, **changes)
+    extra = {
+        "admissible": [],
+        "decompose": ["--p", "3", "--weight", "1,0"],
+        "flatcheck": ["--p", "3", "--weight", "1,0"],
+    }[verb]
+    code, payload = run_json(capsys, verb, "--family", "file", "--file", path, *extra)
+    assert code == 1
+    assert payload["error"]["type"] == error
+    if error == "DatumValidationError":
+        assert payload["error"]["message"].startswith("$.lie_handle: ")
+
+
+def test_file_datum_defaults_follow_family_not_label(capsys, tmp_path):
+    path = _datum_file(tmp_path, build_gl(1, 1), label="p(2)")
+    code, payload = run_json(capsys, "admissible", "--family", "file", "--file", path)
+    assert code == 0 and payload["ok"] is True
+    assert payload["psi_odd"] == [[1, -1]]
+    code, payload = run_json(
+        capsys, "delta", "--family", "file", "--file", path, "--p", "3", "--r", "1"
+    )
+    assert code == 0 and payload["delta_r"] == [-1, 1]

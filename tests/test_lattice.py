@@ -3,7 +3,7 @@ import random
 import pytest
 
 from superroot import lattice
-from superroot.lattice import DimensionMismatch, hnf, in_lattice, pair, pairing_kernel
+from superroot.lattice import DimensionMismatch, hnf, in_lattice, integer_kernel, pair
 
 from oracles import kernel_box_vectors
 
@@ -46,11 +46,11 @@ def test_kernel_type_a_coroots():
                 c = [0] * n
                 c[i], c[j] = 1, -1
                 covs.append(tuple(c))
-    assert pairing_kernel(covs, n) == [(1, 1, 1, 1)]
+    assert integer_kernel(covs, n) == [(1, 1, 1, 1)]
 
 
 def test_kernel_empty_constraints():
-    assert pairing_kernel([], 3) == [
+    assert integer_kernel([], 3) == [
         (1, 0, 0),
         (0, 1, 0),
         (0, 0, 1),
@@ -58,7 +58,7 @@ def test_kernel_empty_constraints():
 
 
 def test_kernel_gl21_even_coroot():
-    assert pairing_kernel([(1, -1, 0)], 3) == [(1, 1, 0), (0, 0, 1)]
+    assert integer_kernel([(1, -1, 0)], 3) == [(1, 1, 0), (0, 0, 1)]
 
 
 @pytest.mark.parametrize(
@@ -72,7 +72,7 @@ def test_kernel_gl21_even_coroot():
     ],
 )
 def test_kernel_against_box_oracle(covs, rank):
-    basis = pairing_kernel(covs, rank)
+    basis = integer_kernel(covs, rank)
     for row in basis:
         for c in covs:
             assert pair(row, c) == 0

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from superroot import lattice, liesuper
+from superroot import cli, lattice, liesuper, rootdata
 from superroot.rootdata import (
     DatumValidationError,
+    Family,
     InvalidOrderError,
     OrderFunctional,
     ParameterError,
@@ -15,7 +16,6 @@ from superroot.rootdata import (
     build_p,
     build_q,
     build_semidirect,
-    chi_r_on_torus,
     datum_from_json,
     datum_to_json,
     default_order,
@@ -249,10 +249,10 @@ def test_all_frobenius_trivial_even_case():
 
 
 def test_chi_r_examples():
-    assert chi_r_on_torus(build_gl(2, 2)) == (0, 0, 0, 0)
-    assert chi_r_on_torus(build_p(2)) == (2, 2)
+    assert odd_root_sum(build_gl(2, 2)) == (0, 0, 0, 0)
+    assert odd_root_sum(build_p(2)) == (2, 2)
     d = build_semidirect(build_gl_even(2), [(1, 1), (1, 1)])
-    assert chi_r_on_torus(d) == (-2, -2)
+    assert odd_root_sum(d) == (-2, -2)
 
 
 def test_odd_root_sum_independent_of_order():
@@ -339,6 +339,95 @@ def test_json_round_trip():
         assert back.even_roots == d.even_roots
         assert back.odd_roots == d.odd_roots
         assert back.h_odd_dim == d.h_odd_dim
+
+
+def test_json_round_trip_keeps_family():
+    for d in ALL_FAMILIES:
+        back = datum_from_json(json.loads(json.dumps(datum_to_json(d))))
+        assert back == d
+        assert datum_to_json(back)["lie_handle"] == str(d.family)
+
+
+def test_family_text_round_trip():
+    for text in ("gl(1|1)", "gl(12|3)", "q(2)", "p(7)"):
+        assert str(Family.parse(text)) == text
+    assert Family.parse("gl(2|1)") == build_gl(2, 1).family == Family("gl", (2, 1))
+
+
+def test_builders_set_family():
+    assert build_q(3).family == Family("q", (3,))
+    assert build_p(2).family == Family("p", (2,))
+    assert build_gl_even(2).family is None
+    assert build_semidirect(build_gl_even(2), [(1, 0)]).family is None
+
+
+def _relabel(d, label, handle):
+    data = datum_to_json(d)
+    data["label"] = label
+    if handle is None:
+        data.pop("lie_handle", None)
+    else:
+        data["lie_handle"] = handle
+    return data
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _relabel(build_q(2), "q(2)", "q(x)"),
+        _relabel(build_q(2), "q(2)", 5),
+        _relabel(build_q(2), "q(2)", "p(3)"),
+        _relabel(build_q(2), "q(2)", "q(3)"),
+        _relabel(build_q(2), "q(2)", "gl(1|1)"),
+        _relabel(build_gl(2, 1), "gl(2|1)", "gl(2|a)"),
+        _relabel(build_gl(2, 1), "gl(2|1)", "gl(1|2)"),
+        _relabel(build_gl(2, 1), "gl(2|1)", "gl(2)"),
+        _relabel(build_gl(2, 1), "gl(2|1)", "q(2|1)"),
+        _relabel(build_gl(2, 1), "gl(2|1)", " gl(2|1)"),
+        _relabel(build_q(1), "q(1)", "q(0)"),
+        _relabel(build_p(2), "p(2)", "p(1)"),
+        _relabel(build_gl_even(2), "gl_2", "gl(99999|99999)"),
+        dict(_relabel(build_q(2), "q(2)", "q(2)"), h_odd_dim=1),
+    ],
+    ids=lambda data: repr(data["lie_handle"]),
+)
+def test_json_rejects_bad_lie_handle(data):
+    with pytest.raises(DatumValidationError) as err:
+        datum_from_json(data)
+    assert str(err.value).startswith("$.lie_handle: ")
+
+
+@pytest.mark.parametrize(
+    "handle, rank, h_odd_dim",
+    [("q(1000)", 1000 * 1000, 1000 * 1000), ("q(1000)", 1000, 1000),
+     ("p(1000)", 1000, 0), ("gl(1000|1000)", 2000, 0)],
+)
+def test_json_large_handle_on_small_datum_is_not_built(monkeypatch, handle, rank, h_odd_dim):
+    # A datum with no roots must not make the builder run, whatever its
+    # bare integers say: the builder's work grows with the handle's size.
+    def refuse(*args):
+        raise AssertionError("builder called for a datum with no roots")
+
+    for name in ("build_gl", "build_q", "build_p"):
+        monkeypatch.setattr(rootdata, name, refuse)
+    data = {"rank": rank, "h_odd_dim": h_odd_dim, "even_roots": [], "odd_roots": [],
+            "label": "x", "lie_handle": handle}
+    with pytest.raises(DatumValidationError) as err:
+        datum_from_json(data)
+    assert str(err.value).startswith("$.lie_handle: ")
+
+
+def test_json_lie_handle_may_be_null():
+    assert datum_from_json(_relabel(build_q(2), "q(2)", None)).family is None
+    data = dict(datum_to_json(build_p(2)), lie_handle=None)
+    assert datum_from_json(data).family is None
+
+
+def test_json_label_is_display_text():
+    d = datum_from_json(_relabel(build_gl(1, 1), "p(2)", "gl(1|1)"))
+    assert d.family == Family("gl", (1, 1)) and d.label == "p(2)"
+    assert default_order(d).values == (-1, -2)
+    assert cli.default_psi_odd(d) == [(1, -1)]
 
 
 def test_json_rejects_bad_pairing():
