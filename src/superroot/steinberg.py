@@ -2,17 +2,22 @@
 decomposition of weights, and the character ring with Frobenius twist.
 
 The digit search is deterministic: candidates for each digit run over
-the canonical residue lift {0..p-1} shifted by p times a bounded box,
-ordered canonical-first (by L1 size of the shift, then lexicographically),
-and the first complete decomposition in that depth-first order is
-returned.
+the canonical residue lift {0..p-1} shifted by p times a shift in the box
+[-R, R]^rank, where the search radius R must be >= 0.  Shifts are
+generated lazily, canonical-first (by L1 size of the shift, then
+lexicographically), and only inside the window where the remainder
+strictly approaches zero; the first complete decomposition in that
+depth-first order is returned.  When the search is exhausted, the
+failure's ``frontier`` holds, in discovery order and at most 32 of them,
+the remainders left when the digit budget ran out and the remainders
+whose every candidate digit failed.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import lattice
 from .lattice import Weight
@@ -47,15 +52,22 @@ class DecompositionFailure(ValueError):
 # Weight predicates.
 
 
+def _positive_even_coroots(
+    datum: SuperRootDatum, order: OrderFunctional
+) -> List[Weight]:
+    """Coroots of the positive even roots, in the datum's root order."""
+    pos_set = {w for w, _ in positive_system(datum, order).even_pos}
+    return [coroot for root, coroot in datum.even_roots if root in pos_set]
+
+
+def _pairs_nonnegative(lam: Weight, coroots: Sequence[Weight]) -> bool:
+    return all(lattice.pair(lam, coroot) >= 0 for coroot in coroots)
+
+
 def is_dominant(datum: SuperRootDatum, order: OrderFunctional, lam: Weight) -> bool:
     """Nonnegative pairing against every positive even coroot."""
     lattice.check_rank(lam, datum.rank)
-    pos = positive_system(datum, order)
-    pos_set = {w for w, _ in pos.even_pos}
-    for root, coroot in datum.even_roots:
-        if root in pos_set and lattice.pair(lam, coroot) < 0:
-            return False
-    return True
+    return _pairs_nonnegative(lam, _positive_even_coroots(datum, order))
 
 
 def _has_flat_rule(datum: SuperRootDatum) -> bool:
@@ -214,18 +226,50 @@ def is_restricted(
 
 
 def _search_radius(radius: Optional[int]) -> int:
-    if radius is not None:
-        return radius
-    env = os.environ.get("SUPERROOT_SEARCH_RADIUS")
-    return int(env) if env else 2
+    """The explicit radius, else ``SUPERROOT_SEARCH_RADIUS``, else 2."""
+    source = "radius"
+    if radius is None:
+        source = "SUPERROOT_SEARCH_RADIUS"
+        env = os.environ.get(source)
+        if not env:
+            return 2
+        try:
+            radius = int(env)
+        except ValueError:
+            raise ParameterError(
+                "%s must be an integer >= 0, got %r" % (source, env)
+            ) from None
+    if radius < 0:
+        raise ParameterError("%s must be >= 0, got %d" % (source, radius))
+    return radius
 
 
-def _shift_boxes(rank: int, radius: int) -> List[Tuple[int, ...]]:
-    shifts = [()]
-    for _ in range(rank):
-        shifts = [s + (k,) for s in shifts for k in range(-radius, radius + 1)]
-    shifts.sort(key=lambda s: (sum(abs(k) for k in s), s))
-    return shifts
+def _shifts(windows: Sequence[Tuple[int, int]]) -> Iterator[Tuple[int, ...]]:
+    """Every shift k with lo <= k_i <= hi for each window (lo, hi), by L1
+    size and then lexicographically."""
+    if any(lo > hi for lo, hi in windows):
+        return
+    # reach[i]: the least and greatest sum of |k_j| over coordinates j >= i.
+    reach = [(0, 0)]
+    for lo, hi in reversed(windows):
+        least = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
+        most = max(abs(lo), abs(hi))
+        reach.append((reach[-1][0] + least, reach[-1][1] + most))
+    reach.reverse()
+    rank = len(windows)
+
+    def fill(i: int, size: int, prefix: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
+        if i == rank:
+            yield prefix
+            return
+        least, most = reach[i + 1]
+        lo, hi = windows[i]
+        for k in range(lo, hi + 1):
+            if least <= size - abs(k) <= most:
+                yield from fill(i + 1, size - abs(k), prefix + (k,))
+
+    for size in range(reach[0][0], reach[0][1] + 1):
+        yield from fill(0, size, ())
 
 
 def steinberg_decompose(
@@ -246,9 +290,11 @@ def steinberg_decompose(
     Digits are congruent to the running weight mod p coordinatewise; the
     first complete decomposition in the canonical-first search order is
     returned and trailing zero digits are dropped.  Raises
+    :class:`ParameterError` for a negative radius and
     :class:`DecompositionFailure` when the bounded search is exhausted.
     """
     check_odd_prime(p)
+    radius = _search_radius(radius)
     lattice.check_rank(lam, datum.rank)
     if validate_base:
         base_report = check_admissible_base(L, datum, order, psi_even, psi_odd)
@@ -257,17 +303,23 @@ def steinberg_decompose(
                 "(psi_even, psi_odd) is not an admissible base: %s"
                 % "; ".join(base_report.failures)
             )
-    weakened = not _has_flat_rule(datum)
+    if _has_flat_rule(datum):
+        lam_ok = is_flat(datum, p, lam)
 
-    def passes_flat(w: Weight) -> bool:
-        return is_dominant(datum, order, w) if weakened else is_flat(datum, p, w)
+        def passes_flat(w: Weight) -> bool:
+            return is_flat(datum, p, w)
 
-    if not passes_flat(lam):
+    else:
+        # The positive even coroots, split once for every candidate.
+        lam_ok = is_dominant(datum, order, lam)
+        coroots = _positive_even_coroots(datum, order)
+
+        def passes_flat(w: Weight) -> bool:
+            return _pairs_nonnegative(w, coroots)
+
+    if not lam_ok:
         raise FlatnessError("weight %r fails the flatness precondition" % (lam,))
     rows = _restriction_rows(datum, L, psi_even, psi_odd)
-
-    radius = _search_radius(radius)
-    shifts = _shift_boxes(datum.rank, radius)
     if max_digits is None:
         top = max((abs(c) for c in lam), default=0)
         max_digits = 3
@@ -278,24 +330,30 @@ def steinberg_decompose(
     frontier: List[Weight] = []
     dead: Dict[Tuple[Weight, int], bool] = {}
 
+    def give_up(mu: Weight) -> None:
+        """Record a remainder the search could not finish."""
+        if len(frontier) < 32:
+            frontier.append(mu)
+
     def dfs(mu: Weight, budget: int) -> Optional[List[Weight]]:
         if lattice.is_zero(mu):
             return []
         if budget == 0:
-            if len(frontier) < 32:
-                frontier.append(mu)
+            give_up(mu)
             return None
         if dead.get((mu, budget)):
             return None
         residues = tuple(c % p for c in mu)
+        base = tuple((c - res) // p for c, res in zip(mu, residues))
         height = max(abs(c) for c in mu)
-        for shift in shifts:
+        # The remainder base - shift must strictly approach zero, otherwise
+        # the canonical digit of a negative coordinate cycles forever; that
+        # is |base_i - k_i| < height in every coordinate.
+        windows = [
+            (max(-radius, b - height + 1), min(radius, b + height - 1)) for b in base
+        ]
+        for shift in _shifts(windows):
             digit = tuple(res + p * k for res, k in zip(residues, shift))
-            nxt = tuple((c - d) // p for c, d in zip(mu, digit))
-            # The remainder must strictly approach zero, otherwise the
-            # canonical digit of a negative coordinate cycles forever.
-            if any(nxt) and max(abs(c) for c in nxt) >= height:
-                continue
             if not passes_flat(digit):
                 continue
             if any(
@@ -303,12 +361,14 @@ def steinberg_decompose(
                 for _a, coroot, kvec in rows
             ):
                 continue
+            nxt = tuple(b - k for b, k in zip(base, shift))
             if not passes_flat(nxt):
                 continue
             tail = dfs(nxt, budget - 1)
             if tail is not None:
                 return [digit] + tail
         dead[(mu, budget)] = True
+        give_up(mu)
         return None
 
     digits = dfs(tuple(lam), max_digits)

@@ -98,6 +98,27 @@ def requests():
         add(["restricted"] + fileflags + ["--p", "3", "--r", "1", "--weight=" + w], {name: text})
         add(["decompose"] + fileflags + ["--p", "3", "--weight=" + w], {name: text})
 
+    # The digit search at explicit radii, on small families and a few
+    # negative weights that need non-canonical lifts.
+    extra = {"gl11": [(0, -2), (-6, 5)], "q2": [(15, 13), (-4, -6)]}
+    for key in ("gl11", "gl22", "q2", "p3"):
+        flags, weights = FAMILIES[key]
+        for w in weights + extra.get(key, []):
+            for p in ("3", "5"):
+                for radius in ("0", "1", "3"):
+                    add(["decompose"] + flags + ["--p", p, "--weight=" + wstr(w), "--radius", radius])
+    # q(2) (15,13) at p=5 fails within radius 2 and decomposes within 3.
+    for radius in ("2", "3"):
+        add(["decompose"] + FAMILIES["q2"][0] + ["--p", "5", "--weight", "15,13", "--radius", radius])
+    for m, n, w in (
+        (3, 2, (12, 6, -8, -4, -10)),
+        (3, 2, (8, 0, -6, 3, -9)),
+        (4, 3, (12, 6, -8, -10, 3, -4, -9)),
+        (4, 3, (3, 1, 0, -12, 12, 12, 7)),
+    ):
+        for p in ("3", "5"):
+            add(["decompose", "--family", "gl", "--m", str(m), "--n", str(n), "--p", p, "--weight=" + wstr(w)])
+
     # A datum with no built-in family: default order, no default odd base.
     semi = rootdata.build_semidirect(rootdata.build_gl_even(2), [(1, 1), (1, 1), (0, 0)])
     text = json.dumps(rootdata.datum_to_json(semi))

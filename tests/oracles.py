@@ -1,18 +1,35 @@
 """Independent brute-force oracles used by the test suite.
 
-Nothing here calls back into the formulas under test: the Clifford
-oracle builds the 2^l-dimensional superalgebra explicitly and reads the
+The Clifford oracle and the lattice box kernel call nothing under test:
+the Clifford oracle builds the 2^l-dimensional superalgebra explicitly and reads the
 simple-supermodule dimension off the regular representation by linear
 algebra over an explicit splitting field (the eighth cyclotomic field,
 which contains i and sqrt(2) and hence splits every diagonal form with
-entries in {0, +-1, +-2}).
+entries in {0, +-1, +-2}).  The digit-search reference keeps the
+library's per-digit predicates and replaces only the search order's
+implementation, by the eager sorted shift box.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from superroot import lattice
+from superroot.liesuper import check_admissible_base
+from superroot.rootdata import ParameterError, check_odd_prime, positive_system
+from superroot.steinberg import (
+    DecompositionFailure,
+    FlatnessError,
+    _bound,
+    _has_flat_rule,
+    _restriction_rows,
+    is_flat,
+)
+
+Weight = Tuple[int, ...]
 
 
 class Cyc8:
@@ -495,3 +512,119 @@ def kernel_box_vectors(covs, rank: int, radius: int = 3):
 
     rec([])
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference digit search: the eager shift box.
+#
+# This is the digit search as it was before shifts were generated lazily:
+# the whole (2R+1)^rank box is built and sorted by (L1 size, lex) on every
+# call, every shift is tried, and the remainder test rejects the ones that
+# do not approach zero.  The per-digit predicates (flatness, restriction
+# rows and bounds) are the library's own; only the search is the reference.
+
+
+def _reference_is_dominant(datum, order, lam) -> bool:
+    """Nonnegative pairing against every positive even coroot."""
+    lattice.check_rank(lam, datum.rank)
+    pos = positive_system(datum, order)
+    pos_set = {w for w, _ in pos.even_pos}
+    for root, coroot in datum.even_roots:
+        if root in pos_set and lattice.pair(lam, coroot) < 0:
+            return False
+    return True
+
+
+def _reference_search_radius(radius):
+    if radius is not None:
+        return radius
+    env = os.environ.get("SUPERROOT_SEARCH_RADIUS")
+    return int(env) if env else 2
+
+
+def shift_boxes(rank: int, radius: int) -> List[Tuple[int, ...]]:
+    """Every shift in [-radius, radius]^rank, by L1 size and then lex."""
+    shifts = [()]
+    for _ in range(rank):
+        shifts = [s + (k,) for s in shifts for k in range(-radius, radius + 1)]
+    shifts.sort(key=lambda s: (sum(abs(k) for k in s), s))
+    return shifts
+
+
+def reference_decompose(
+    datum, L, order, psi_even, psi_odd, lam, p, radius=None, max_digits=None,
+    validate_base=True,
+):
+    """``steinberg_decompose`` over the eager shift box; same signature,
+    same digits, same exception types and messages."""
+    check_odd_prime(p)
+    lattice.check_rank(lam, datum.rank)
+    if validate_base:
+        base_report = check_admissible_base(L, datum, order, psi_even, psi_odd)
+        if not base_report.ok:
+            raise ParameterError(
+                "(psi_even, psi_odd) is not an admissible base: %s"
+                % "; ".join(base_report.failures)
+            )
+    weakened = not _has_flat_rule(datum)
+
+    def passes_flat(w: Weight) -> bool:
+        return _reference_is_dominant(datum, order, w) if weakened else is_flat(datum, p, w)
+
+    if not passes_flat(lam):
+        raise FlatnessError("weight %r fails the flatness precondition" % (lam,))
+    rows = _restriction_rows(datum, L, psi_even, psi_odd)
+
+    radius = _reference_search_radius(radius)
+    shifts = shift_boxes(datum.rank, radius)
+    if max_digits is None:
+        top = max((abs(c) for c in lam), default=0)
+        max_digits = 3
+        q = 1
+        while q <= top:
+            q *= p
+            max_digits += 1
+    frontier: List[Weight] = []
+    dead: Dict[Tuple[Weight, int], bool] = {}
+
+    def dfs(mu: Weight, budget: int) -> Optional[List[Weight]]:
+        if lattice.is_zero(mu):
+            return []
+        if budget == 0:
+            if len(frontier) < 32:
+                frontier.append(mu)
+            return None
+        if dead.get((mu, budget)):
+            return None
+        residues = tuple(c % p for c in mu)
+        height = max(abs(c) for c in mu)
+        for shift in shifts:
+            digit = tuple(res + p * k for res, k in zip(residues, shift))
+            nxt = tuple((c - d) // p for c, d in zip(mu, digit))
+            if any(nxt) and max(abs(c) for c in nxt) >= height:
+                continue
+            if not passes_flat(digit):
+                continue
+            if any(
+                lattice.pair(digit, coroot) > _bound(digit, kvec, p, p)[1]
+                for _a, coroot, kvec in rows
+            ):
+                continue
+            if not passes_flat(nxt):
+                continue
+            tail = dfs(nxt, budget - 1)
+            if tail is not None:
+                return [digit] + tail
+        dead[(mu, budget)] = True
+        return None
+
+    digits = dfs(tuple(lam), max_digits)
+    if digits is None:
+        raise DecompositionFailure(
+            "no decomposition of %r within radius %d and %d digits"
+            % (lam, radius, max_digits),
+            frontier,
+        )
+    while digits and lattice.is_zero(digits[-1]):
+        digits.pop()
+    return digits

@@ -50,6 +50,24 @@ def test_decompose_gl11(capsys):
     assert payload["digits"] == [[1, 1], [1, -1]]
 
 
+@pytest.mark.parametrize("radius, env, message", [
+    ("-1", None, "radius must be >= 0, got -1"),
+    (None, "-2", "SUPERROOT_SEARCH_RADIUS must be >= 0, got -2"),
+    (None, "abc", "SUPERROOT_SEARCH_RADIUS must be an integer >= 0, got 'abc'"),
+], ids=["flag-negative", "env-negative", "env-not-an-integer"])
+def test_decompose_bad_radius_is_a_parameter_error(capsys, monkeypatch, radius, env, message):
+    if env is None:
+        monkeypatch.delenv("SUPERROOT_SEARCH_RADIUS", raising=False)
+    else:
+        monkeypatch.setenv("SUPERROOT_SEARCH_RADIUS", env)
+    argv = ["decompose", "--family", "gl", "--m", "1", "--n", "1", "--p", "3", "--weight", "4,-2"]
+    if radius is not None:
+        argv += ["--radius", radius]
+    code, payload = run_json(capsys, *argv)
+    assert code == 1
+    assert payload == {"error": {"type": "ParameterError", "message": message}}
+
+
 def test_admissible_defaults(capsys):
     code, payload = run_json(capsys, "admissible", "--family", "q", "--n", "3")
     assert code == 0 and payload["ok"] is True

@@ -1,7 +1,14 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from oracles import reference_decompose, shift_boxes
+from superroot import lattice, steinberg
+from superroot.cli import default_psi_odd
 from superroot.lattice import DimensionMismatch
 from superroot.liesuper import gl_superalgebra, lie_algebra_for, q_superalgebra
 from superroot.rootdata import (
@@ -29,6 +36,7 @@ from superroot.steinberg import (
     steinberg_character,
     steinberg_decompose,
     upsilon_leading,
+    _shifts,
 )
 
 
@@ -253,11 +261,14 @@ def test_decompose_digit_congruence_and_restriction():
 
 
 def test_decompose_failure_carries_frontier():
-    # radius 0 forbids every non-canonical lift, so negative weights fail
+    # radius 0 forbids every non-canonical lift, so negative weights fail:
+    # (0,-1) has no lift that approaches zero, then (0,-2) is exhausted
     d, L, order, pe, po = GL11
     with pytest.raises(DecompositionFailure) as err:
         steinberg_decompose(d, L, order, pe, po, (0, -2), 3, radius=0)
     assert isinstance(err.value.frontier, list)
+    assert (0, -2) in err.value.frontier
+    assert err.value.frontier == [(0, -1), (0, -2)]
 
 
 def test_decompose_env_radius(monkeypatch):
@@ -269,6 +280,24 @@ def test_decompose_env_radius(monkeypatch):
     assert steinberg_decompose(d, L, order, pe, po, (0, -2), 3) == [(0, 1), (0, -1)]
 
 
+@pytest.mark.parametrize("radius, env, message", [
+    (-1, None, "radius must be >= 0, got -1"),
+    (-3, "2", "radius must be >= 0, got -3"),
+    (None, "-1", "SUPERROOT_SEARCH_RADIUS must be >= 0, got -1"),
+    (None, "abc", "SUPERROOT_SEARCH_RADIUS must be an integer >= 0, got 'abc'"),
+    (None, "1.5", "SUPERROOT_SEARCH_RADIUS must be an integer >= 0, got '1.5'"),
+], ids=["arg-negative", "arg-over-env", "env-negative", "env-word", "env-fraction"])
+def test_decompose_rejects_bad_radius(monkeypatch, radius, env, message):
+    d, L, order, pe, po = GL11
+    if env is None:
+        monkeypatch.delenv("SUPERROOT_SEARCH_RADIUS", raising=False)
+    else:
+        monkeypatch.setenv("SUPERROOT_SEARCH_RADIUS", env)
+    with pytest.raises(ParameterError) as err:
+        steinberg_decompose(d, L, order, pe, po, (4, -2), 3, radius=radius)
+    assert str(err.value) == message
+
+
 def test_decompose_rejects_nonflat():
     d, L, order, pe, po = Q2
     with pytest.raises(FlatnessError):
@@ -278,13 +307,100 @@ def test_decompose_rejects_nonflat():
 def test_decompose_radius_extends_reach():
     # (15,13) at p=5 needs a digit five boxes away from the canonical lift
     d, L, order, pe, po = Q2
-    with pytest.raises(DecompositionFailure):
+    with pytest.raises(DecompositionFailure) as err:
         steinberg_decompose(d, L, order, pe, po, (15, 13), 5, radius=2)
+    # no lift of (15,13) within radius 2 passes, so the root level is exhausted
+    assert err.value.frontier == [(15, 13)]
     digits = steinberg_decompose(d, L, order, pe, po, (15, 13), 5, radius=3)
     total = (0, 0)
     for i, digit in enumerate(digits):
         total = (total[0] + 5**i * digit[0], total[1] + 5**i * digit[1])
     assert total == (15, 13)
+
+
+# -- the lazy shift order against the eager shift box --------------------------------
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_shifts_full_window_is_the_sorted_box(rank, radius):
+    assert list(_shifts([(-radius, radius)] * rank)) == shift_boxes(rank, radius)
+
+
+@given(st.integers(0, 3).flatmap(lambda radius: st.tuples(
+    st.just(radius),
+    st.lists(
+        st.tuples(st.integers(-radius, radius), st.integers(-radius, radius)),
+        min_size=1,
+        max_size=4,
+    ),
+)))
+def test_shifts_window_is_the_filtered_box(case):
+    # A window (lo, hi) with lo > hi is empty, and then so is the result.
+    radius, windows = case
+    expected = [
+        s for s in shift_boxes(len(windows), radius)
+        if all(lo <= k <= hi for k, (lo, hi) in zip(s, windows))
+    ]
+    assert list(_shifts(windows)) == expected
+
+
+DIFFERENTIAL = [
+    setup_family(datum, default_psi_odd(datum))
+    for datum in (
+        build_gl(1, 1), build_gl(2, 1), build_gl(2, 2), build_gl(3, 2),
+        build_p(2), build_p(3), build_q(2), build_q(3),
+    )
+]
+
+
+def _traced_outcome(decompose, model, lam, p, radius):
+    """The digits, or the exception's type and message, and every
+    flatness test and pairing the search made, in order."""
+    calls = []
+    pair, flat = lattice.pair, steinberg.is_flat
+
+    def traced_pair(w, cov):
+        calls.append(("pair", w, cov))
+        return pair(w, cov)
+
+    def traced_flat(datum, p, w):
+        calls.append(("flat", w))
+        return flat(datum, p, w)
+
+    with mock.patch.object(lattice, "pair", traced_pair), mock.patch.object(
+        steinberg, "is_flat", traced_flat
+    ), mock.patch.object(oracles, "is_flat", traced_flat):
+        try:
+            result = decompose(*model, lam, p, radius=radius, validate_base=False)
+        except ValueError as exc:  # compared by type and message
+            result = type(exc), str(exc)
+    return result, calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(range(len(DIFFERENTIAL))),
+    st.lists(st.integers(-30, 30), min_size=5, max_size=5),
+    st.booleans(),
+    st.sampled_from([3, 5, 7]),
+    st.integers(0, 3),
+)
+def test_decompose_matches_eager_reference(index, coords, flat, p, radius):
+    # Sorting each block makes the weight flat for gl(m|n), dominant for
+    # p(n), and decreasing (mostly flat) for q(n); unsorted weights
+    # exercise the precondition failures.  Both searches must also test
+    # the same candidates in the same order: the reference skips a shift
+    # whose remainder does not approach zero before testing it, and the
+    # lazy search never generates one.
+    model = DIFFERENTIAL[index]
+    datum = model[0]
+    lam = tuple(coords[: datum.rank])
+    if flat:
+        cut = datum.family.params[0] if datum.family.kind == "gl" else datum.rank
+        lam = tuple(sorted(lam[:cut], reverse=True)) + tuple(sorted(lam[cut:], reverse=True))
+    got = _traced_outcome(steinberg_decompose, model, lam, p, radius)
+    assert got == _traced_outcome(reference_decompose, model, lam, p, radius)
 
 
 # -- character ring ----------------------------------------------------------------
