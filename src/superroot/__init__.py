@@ -1,6 +1,6 @@
 """Exact root-data computations for split quasireductive supergroups."""
 
-from .lattice import DimensionMismatch, hnf, pair
+from .lattice import DimensionMismatch, SuperrootError, hnf, pair
 from .rootdata import (
     Family,
     OrderFunctional,

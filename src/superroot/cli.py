@@ -3,7 +3,8 @@ or JSON datum files, with table or machine-readable JSON output.
 
 Exit codes: 0 success, 1 domain error (structured error object on
 stdout), 2 usage error.  Integers beyond 2^53 are emitted as decimal
-strings in JSON mode so consumers never lose precision.
+strings in JSON mode so consumers never lose precision; a result too
+long for Python's int-to-str limit is a ``ParameterError``.
 """
 
 from __future__ import annotations
@@ -16,27 +17,23 @@ from typing import List, Optional, Sequence, Tuple
 from . import hyperalg, lattice, liesuper, rootdata, steinberg
 from .lattice import Weight
 
-DOMAIN_ERRORS = (
-    lattice.DimensionMismatch,
-    rootdata.DatumValidationError,
-    rootdata.InvalidOrderError,
-    rootdata.ParameterError,
-    liesuper.DecompositionError,
-    steinberg.FlatnessError,
-    steinberg.DecompositionFailure,
-    steinberg.UnsupportedFamilyError,
-    json.JSONDecodeError,
-    OSError,
-)
-
 BIG = 2**53
+
+
+def _decimal(value: int) -> str:
+    try:
+        return str(value)
+    except ValueError:  # beyond sys.get_int_max_str_digits()
+        raise rootdata.ParameterError(
+            "result has more than %d decimal digits" % sys.get_int_max_str_digits()
+        ) from None
 
 
 def _jsonable(value):
     if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
     if isinstance(value, int):
-        return str(value) if abs(value) >= BIG else value
+        return _decimal(value) if abs(value) >= BIG else value
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -45,7 +42,6 @@ def _jsonable(value):
 
 
 def emit(payload: dict, as_json: bool) -> None:
-    payload = _jsonable(payload)
     if as_json:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
         return
@@ -81,10 +77,7 @@ def build_datum(args) -> rootdata.SuperRootDatum:
 
 def get_order(args, datum: rootdata.SuperRootDatum) -> rootdata.OrderFunctional:
     if getattr(args, "order", None):
-        from fractions import Fraction
-
-        values = [Fraction(tok) for tok in args.order.split(",")]
-        order = rootdata.OrderFunctional(tuple(values))
+        order = rootdata.OrderFunctional.from_values(args.order.split(","))
     else:
         order = rootdata.default_order(datum)
     order.validate(datum)
@@ -117,9 +110,8 @@ def get_psi(args, datum, order) -> Tuple[List[Weight], List[Weight]]:
 
 def load_char(text: str) -> steinberg.CharacterElement:
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            return steinberg.char_from_json(json.load(fh))
-    return steinberg.char_from_json(json.loads(text))
+        return steinberg.char_from_json(rootdata.load_json(text[1:]))
+    return steinberg.char_from_json(rootdata.parse_json(text))
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +369,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        payload = args.fn(args)
-    except DOMAIN_ERRORS as exc:
-        emit(
-            {"error": {"type": type(exc).__name__, "message": str(exc)}},
-            args.json,
-        )
-        return 1
+        payload, code = _jsonable(args.fn(args)), 0
+    except (lattice.SuperrootError, OSError, json.JSONDecodeError) as exc:
+        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        code = 1
     emit(payload, args.json)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from typing import List, Tuple
 from . import lattice
 from .lattice import Weight
 from .liesuper import LieSuperAlgebra, eval_weight_on_cartan
-from .rootdata import ParameterError, SuperRootDatum, is_odd_prime
+from .rootdata import ParameterError, SuperRootDatum, check_characteristic
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,7 @@ class CliffordForm:
 def gram_form(L: LieSuperAlgebra, lam: Weight, char_p: int = 0) -> CliffordForm:
     """Gram matrix (s,t) -> lam([K_s, K_t]) on the odd Cartan basis,
     reduced to [0, p) when char_p is positive."""
-    if char_p != 0 and not is_odd_prime(char_p):
-        raise ParameterError("char_p must be 0 or an odd prime, got %r" % (char_p,))
+    check_characteristic(char_p, "char_p")
     lattice.check_rank(lam, L.rank)
     ks = L.odd_cartan()
     size = len(ks)

@@ -14,7 +14,11 @@ Weight = Tuple[int, ...]
 Coweight = Tuple[int, ...]
 
 
-class DimensionMismatch(ValueError):
+class SuperrootError(Exception):
+    """Base class of every error the library raises for an input it refuses."""
+
+
+class DimensionMismatch(SuperrootError, ValueError):
     """Vectors of unequal length were combined."""
 
 

@@ -2,8 +2,10 @@
 
 Each algebra is realized inside Mat(N) over Z with a fixed homogeneous
 basis whose matrices have pairwise disjoint supports, so decomposing a
-matrix over the basis is exact coordinate reading.  Elements are sparse
-coordinate dicts {basis_index: coefficient}.
+matrix over the basis is exact coordinate reading.  A matrix is stored
+as its nonzero entries, ((i, j), value) in row-major order; basis
+matrices have one or two entries.  Elements are sparse coordinate dicts
+{basis_index: coefficient}.
 """
 
 from __future__ import annotations
@@ -26,11 +28,12 @@ from .rootdata import (
 EVEN = "even"
 ODD = "odd"
 
-Matrix = Tuple[Tuple[int, ...], ...]
+Entry = Tuple[int, int]
+Matrix = Tuple[Tuple[Entry, int], ...]
 Element = Dict[int, int]
 
 
-class DecompositionError(ValueError):
+class DecompositionError(lattice.SuperrootError, ValueError):
     """A matrix does not lie in the span of the algebra basis."""
 
 
@@ -43,39 +46,20 @@ class BasisElement:
     name: str
 
 
-def _zero_matrix(size: int) -> List[List[int]]:
-    return [[0] * size for _ in range(size)]
-
-
-def _freeze(mat: Sequence[Sequence[int]]) -> Matrix:
-    return tuple(tuple(row) for row in mat)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    size = len(a)
-    out = _zero_matrix(size)
-    for i in range(size):
-        arow = a[i]
-        orow = out[i]
-        for k in range(size):
-            if arow[k]:
-                c = arow[k]
-                brow = b[k]
-                for j in range(size):
-                    if brow[j]:
-                        orow[j] += c * brow[j]
-    return _freeze(out)
-
-
-def mat_add(a: Matrix, b: Matrix, sign: int = 1) -> Matrix:
-    return _freeze(
-        [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-    )
+def _matrix(entries: Mapping[Entry, int]) -> Matrix:
+    """The nonzero entries, in row-major order."""
+    return tuple(sorted((ij, v) for ij, v in entries.items() if v))
 
 
 def super_commutator(a: Matrix, b: Matrix, parity_a: str, parity_b: str) -> Matrix:
     sign = -1 if (parity_a == ODD and parity_b == ODD) else 1
-    return mat_add(mat_mul(a, b), mat_mul(b, a), -sign)
+    out: Dict[Entry, int] = {}
+    for left, right, c in ((a, b, 1), (b, a, -sign)):
+        for (i, k), u in left:
+            for (k2, j), v in right:
+                if k == k2:
+                    out[(i, j)] = out.get((i, j), 0) + c * u * v
+    return _matrix(out)
 
 
 class LieSuperAlgebra:
@@ -87,21 +71,15 @@ class LieSuperAlgebra:
         self.size = size
         self.basis = basis
         self.dim = len(basis)
-        self._anchors: List[Tuple[int, int, int]] = []
-        seen = set()
+        # Every basis entry's owner; the first entry of each is its anchor.
+        self._owner: Dict[Entry, int] = {}
         for b in basis:
-            anchor = None
-            for i in range(size):
-                for j in range(size):
-                    if b.matrix[i][j]:
-                        if (i, j) in seen:
-                            raise ValueError("basis supports are not disjoint")
-                        seen.add((i, j))
-                        if anchor is None:
-                            anchor = (i, j, b.matrix[i][j])
-            if anchor is None:
+            if not b.matrix:
                 raise ValueError("zero basis matrix")
-            self._anchors.append(anchor)
+            for ij, _v in b.matrix:
+                if ij in self._owner:
+                    raise ValueError("basis supports are not disjoint")
+                self._owner[ij] = b.index
         self.bracket_table: Dict[Tuple[int, int], Element] = {}
         for x in basis:
             for y in basis:
@@ -114,35 +92,34 @@ class LieSuperAlgebra:
 
     def decompose(self, mat: Matrix) -> Element:
         """Exact coordinates of ``mat`` over the basis."""
+        entries = dict(mat)
         coeffs: Element = {}
-        residual = [list(row) for row in mat]
-        for b, (i, j, v) in zip(self.basis, self._anchors):
-            c = residual[i][j] * (1 if v == 1 else -1) if abs(v) == 1 else None
-            if c is None:
-                # anchors are +-1 for all built-in families
-                if residual[i][j] % v:
-                    raise DecompositionError("non-integral coordinate")
-                c = residual[i][j] // v
+        for idx in sorted({self._owner[ij] for ij in entries if ij in self._owner}):
+            anchor, v = self.basis[idx].matrix[0]
+            c, rem = divmod(entries.get(anchor, 0), v)
+            if rem:
+                raise DecompositionError("non-integral coordinate")
             if c:
-                coeffs[b.index] = c
-                for r in range(self.size):
-                    row = b.matrix[r]
-                    for s in range(self.size):
-                        if row[s]:
-                            residual[r][s] -= c * row[s]
-        if any(any(row) for row in residual):
+                coeffs[idx] = c
+        if self.element_matrix(coeffs) != _matrix(entries):
             raise DecompositionError("matrix is not in the span of the basis")
         return coeffs
 
     def element_matrix(self, elem: Mapping[int, int]) -> Matrix:
-        out = _zero_matrix(self.size)
+        out: Dict[Entry, int] = {}
         for idx, c in elem.items():
-            for i in range(self.size):
-                row = self.basis[idx].matrix[i]
-                for j in range(self.size):
-                    if row[j]:
-                        out[i][j] += c * row[j]
-        return _freeze(out)
+            for ij, v in self.basis[idx].matrix:
+                out[ij] = out.get(ij, 0) + c * v
+        return _matrix(out)
+
+    def diagonal(self, elem: Mapping[int, int], what: str) -> Weight:
+        """The first ``rank`` diagonal entries of a diagonal element's
+        matrix; ``what`` names the element in the error otherwise."""
+        mat = self.element_matrix(elem)
+        if any(i != j for (i, j), _v in mat):
+            raise ParameterError("%s is not diagonal" % what)
+        diag = dict(mat)
+        return tuple(diag.get((i, i), 0) for i in range(self.rank))
 
     def as_element(self, x: Union[int, BasisElement, Mapping[int, int]]) -> Element:
         if isinstance(x, BasisElement):
@@ -217,17 +194,14 @@ def gl_superalgebra(m: int, n: int) -> LieSuperAlgebra:
     odd: List[Tuple[str, Weight, Matrix]] = []
     for i in range(size):
         for j in range(size):
-            mat = _zero_matrix(size)
-            mat[i][j] = 1
+            mat = _matrix({(i, j): 1})
             weight = lattice.unit_difference(size, i, j)
             same_block = (i < m) == (j < m)
             if same_block:
                 name = "H_%d" % (i + 1) if i == j else "X[%d,%d]" % (i + 1, j + 1)
-                basis.append(
-                    BasisElement(len(basis), EVEN, weight, _freeze(mat), name)
-                )
+                basis.append(BasisElement(len(basis), EVEN, weight, mat, name))
             else:
-                odd.append(("Y[%d,%d]" % (i + 1, j + 1), weight, _freeze(mat)))
+                odd.append(("Y[%d,%d]" % (i + 1, j + 1), weight, mat))
     for name, weight, mat in odd:
         basis.append(BasisElement(len(basis), ODD, weight, mat, name))
     return LieSuperAlgebra("gl(%d|%d)" % (m, n), size, size, basis)
@@ -240,20 +214,16 @@ def q_superalgebra(n: int) -> LieSuperAlgebra:
     basis: List[BasisElement] = []
     for i in range(n):
         for j in range(n):
-            mat = _zero_matrix(size)
-            mat[i][j] = 1
-            mat[n + i][n + j] = 1
+            mat = _matrix({(i, j): 1, (n + i, n + j): 1})
             name = "H_%d" % (i + 1) if i == j else "X[%d,%d]" % (i + 1, j + 1)
             weight = lattice.unit_difference(n, i, j)
-            basis.append(BasisElement(len(basis), EVEN, weight, _freeze(mat), name))
+            basis.append(BasisElement(len(basis), EVEN, weight, mat, name))
     for i in range(n):
         for j in range(n):
-            mat = _zero_matrix(size)
-            mat[i][n + j] = 1
-            mat[n + i][j] = 1
+            mat = _matrix({(i, n + j): 1, (n + i, j): 1})
             name = "K_%d" % (i + 1) if i == j else "Y[%d,%d]" % (i + 1, j + 1)
             weight = lattice.unit_difference(n, i, j)
-            basis.append(BasisElement(len(basis), ODD, weight, _freeze(mat), name))
+            basis.append(BasisElement(len(basis), ODD, weight, mat, name))
     return LieSuperAlgebra("q(%d)" % n, n, size, basis)
 
 
@@ -264,40 +234,29 @@ def p_superalgebra(n: int) -> LieSuperAlgebra:
     basis: List[BasisElement] = []
     for i in range(n):
         for j in range(n):
-            mat = _zero_matrix(size)
-            mat[i][j] = 1
-            mat[n + j][n + i] = -1
+            mat = _matrix({(i, j): 1, (n + j, n + i): -1})
             name = "H_%d" % (i + 1) if i == j else "X[%d,%d]" % (i + 1, j + 1)
             weight = lattice.unit_difference(n, i, j)
-            basis.append(BasisElement(len(basis), EVEN, weight, _freeze(mat), name))
+            basis.append(BasisElement(len(basis), EVEN, weight, mat, name))
     # symmetric block: weights li + lj (diagonal gives 2*li)
     for i in range(n):
         for j in range(i, n):
-            mat = _zero_matrix(size)
-            mat[i][n + j] = 1
-            if i != j:
-                mat[j][n + i] = 1
+            mat = _matrix({(i, n + j): 1, (j, n + i): 1})
             weight = tuple(
                 (1 if k == i else 0) + (1 if k == j else 0) for k in range(n)
             )
             basis.append(
-                BasisElement(
-                    len(basis), ODD, weight, _freeze(mat), "B[%d,%d]" % (i + 1, j + 1)
-                )
+                BasisElement(len(basis), ODD, weight, mat, "B[%d,%d]" % (i + 1, j + 1))
             )
     # antisymmetric block: weights -(li + lj), i < j
     for i in range(n):
         for j in range(i + 1, n):
-            mat = _zero_matrix(size)
-            mat[n + i][j] = 1
-            mat[n + j][i] = -1
+            mat = _matrix({(n + i, j): 1, (n + j, i): -1})
             weight = tuple(
                 -(1 if k == i else 0) - (1 if k == j else 0) for k in range(n)
             )
             basis.append(
-                BasisElement(
-                    len(basis), ODD, weight, _freeze(mat), "C[%d,%d]" % (i + 1, j + 1)
-                )
+                BasisElement(len(basis), ODD, weight, mat, "C[%d,%d]" % (i + 1, j + 1))
             )
     return LieSuperAlgebra("p(%d)" % n, n, size, basis)
 
@@ -560,9 +519,5 @@ def eval_weight_on_cartan(
     parity = L.parity_of(elem)
     if parity not in (None, EVEN):
         raise ParameterError("element is not even")
-    mat = L.element_matrix(elem)
-    for i in range(L.size):
-        for j in range(L.size):
-            if i != j and mat[i][j]:
-                raise ParameterError("element is not diagonal")
-    return sum(lam[i] * mat[i][i] for i in range(L.rank))
+    diag = L.diagonal(elem, "element")
+    return sum(lam[i] * diag[i] for i in range(L.rank))

@@ -12,24 +12,29 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import lattice
-from .lattice import Coweight, Weight
+from .lattice import Coweight, SuperrootError, Weight
 
 
-class DatumValidationError(ValueError):
+class DatumValidationError(SuperrootError, ValueError):
     """A super root datum violated a structural invariant."""
 
 
-class InvalidOrderError(ValueError):
+class InvalidOrderError(SuperrootError, ValueError):
     """An order functional vanishes on a root of the datum."""
 
 
-class ParameterError(ValueError):
+class ParameterError(SuperrootError, ValueError):
     """A numeric parameter is outside its allowed domain."""
+
+
+# The largest power p**r, in bits, computed for a user-given exponent.
+MAX_POWER_BITS = 1 << 15
 
 
 def is_odd_prime(p: int) -> bool:
@@ -48,9 +53,24 @@ def check_odd_prime(p: int) -> None:
         raise ParameterError("p must be an odd prime, got %r" % (p,))
 
 
+def check_characteristic(p: int, name: str = "p") -> None:
+    if p != 0 and not is_odd_prime(p):
+        raise ParameterError("%s must be 0 or an odd prime, got %r" % (name, p))
+
+
 def check_positive(r: int, name: str = "r") -> None:
     if r < 1:
         raise ParameterError("%s must be >= 1, got %r" % (name, r))
+
+
+def prime_power(p: int, r: int) -> int:
+    """p**r for r >= 0, refused before it is computed when it would have
+    more than MAX_POWER_BITS bits."""
+    if r * p.bit_length() > MAX_POWER_BITS:
+        raise ParameterError(
+            "%d**%d exceeds the %d-bit limit on p**r" % (p, r, MAX_POWER_BITS)
+        )
+    return p**r
 
 
 _FAMILY_TEXT = re.compile(r"(gl|q|p)\(([1-9][0-9]{0,8})(?:\|([1-9][0-9]{0,8}))?\)")
@@ -176,7 +196,16 @@ class OrderFunctional:
 
     @staticmethod
     def from_values(values: Sequence) -> "OrderFunctional":
-        return OrderFunctional(tuple(Fraction(v) for v in values))
+        """Values as ints, Fractions or rational text such as "-3/2"."""
+        out = []
+        for v in values:
+            try:
+                out.append(Fraction(v))
+            except (ValueError, ZeroDivisionError, OverflowError):
+                raise ParameterError(
+                    "order value %r is not a rational number" % (v,)
+                ) from None
+        return OrderFunctional(tuple(out))
 
     def eval(self, w: Weight) -> Fraction:
         if len(w) != len(self.values):
@@ -365,7 +394,7 @@ def is_frobenius_unimodular(datum: SuperRootDatum, p: int, r: int) -> Unimodular
     check_odd_prime(p)
     check_positive(r)
     total = odd_root_sum(datum)
-    q = p**r
+    q = prime_power(p, r)
     per = tuple((i, v, v % q == 0) for i, v in enumerate(total))
     return UnimodularityReport(total, per, all(ok for _, _, ok in per), q)
 
@@ -381,10 +410,11 @@ def delta_r(
     """Torus restriction of the character measuring ind/coind asymmetry."""
     check_odd_prime(p)
     check_positive(r)
+    q = prime_power(p, r)
     pos = positive_system(datum, order)
     total = lattice.zero(datum.rank)
     for root, _ in pos.even_pos:
-        total = lattice.add(total, lattice.scale(-(p**r - 1), root))
+        total = lattice.add(total, lattice.scale(-(q - 1), root))
     for root, mult in pos.odd_neg:
         total = lattice.add(total, lattice.scale(mult, root))
     return total
@@ -394,7 +424,7 @@ def dim_O_Gr(datum: SuperRootDatum, p: int, r: int) -> int:
     """Dimension of the coordinate superalgebra of the r-th Frobenius kernel."""
     check_odd_prime(p)
     check_positive(r)
-    return p ** (r * datum.n_even) * 2**datum.n_odd
+    return prime_power(p, r) ** datum.n_even * 2**datum.n_odd
 
 
 def pbw_monomial_count(datum: SuperRootDatum, p: int, r: int) -> int:
@@ -406,11 +436,12 @@ def pbw_monomial_count(datum: SuperRootDatum, p: int, r: int) -> int:
     """
     check_odd_prime(p)
     check_positive(r)
+    q = prime_power(p, r)
     count = 1
     for _root, _cov in datum.even_roots:
-        count *= p**r
+        count *= q
     for _i in range(datum.rank):
-        count *= p**r
+        count *= q
     for _root, mult in datum.odd_roots:
         count *= 2**mult
     count *= 2**datum.h_odd_dim
@@ -430,9 +461,10 @@ def induced_dims(
     check_positive(r)
     if dim_u_lambda < 0:
         raise ParameterError("dim_u_lambda must be nonnegative")
+    q = prime_power(p, r)
     pos = positive_system(datum, order)
-    dim_ind = p ** (r * len(pos.even_pos)) * 2**pos.n_odd_pos * dim_u_lambda
-    dim_coind = p ** (r * len(pos.even_neg)) * 2**pos.n_odd_neg * dim_u_lambda
+    dim_ind = q ** len(pos.even_pos) * 2**pos.n_odd_pos * dim_u_lambda
+    dim_coind = q ** len(pos.even_neg) * 2**pos.n_odd_neg * dim_u_lambda
     return dim_ind, dim_coind
 
 
@@ -455,8 +487,13 @@ def datum_to_json(datum: SuperRootDatum) -> dict:
     return out
 
 
+def is_json_int(value) -> bool:
+    """An integer read from JSON: an int, and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_int_list(value, where: str) -> Tuple[int, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
+    if not isinstance(value, list) or not all(is_json_int(v) for v in value):
         raise DatumValidationError("%s: expected a list of integers" % where)
     return tuple(value)
 
@@ -467,12 +504,15 @@ def datum_from_json(data: dict) -> SuperRootDatum:
     for key in ("rank", "label", "even_roots", "odd_roots", "h_odd_dim"):
         if key not in data:
             raise DatumValidationError("$.%s: missing" % key)
-    if not isinstance(data["rank"], int):
+    if not is_json_int(data["rank"]):
         raise DatumValidationError("$.rank: expected an integer")
     if not isinstance(data["label"], str):
         raise DatumValidationError("$.label: expected a string")
-    if not isinstance(data["h_odd_dim"], int):
+    if not is_json_int(data["h_odd_dim"]):
         raise DatumValidationError("$.h_odd_dim: expected an integer")
+    for key in ("even_roots", "odd_roots"):
+        if not isinstance(data[key], list):
+            raise DatumValidationError("$.%s: expected a list" % key)
     even = []
     for k, entry in enumerate(data["even_roots"]):
         where = "$.even_roots[%d]" % k
@@ -489,7 +529,7 @@ def datum_from_json(data: dict) -> SuperRootDatum:
         where = "$.odd_roots[%d]" % k
         if not isinstance(entry, dict) or "root" not in entry or "mult" not in entry:
             raise DatumValidationError("%s: expected {root, mult}" % where)
-        if not isinstance(entry["mult"], int):
+        if not is_json_int(entry["mult"]):
             raise DatumValidationError("%s.mult: expected an integer" % where)
         odd.append((_as_int_list(entry["root"], where + ".root"), entry["mult"]))
     handle = data.get("lie_handle")
@@ -530,6 +570,30 @@ def _has_family_roots(datum: SuperRootDatum, family: Family) -> bool:
     )
 
 
-def load_datum(path: str) -> SuperRootDatum:
+def parse_json(text: str):
+    """``json.loads`` for user text; a number longer than Python's
+    int-to-str limit is a ParameterError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # an integer literal beyond sys.get_int_max_str_digits()
+        raise ParameterError(
+            "a number in the JSON text has more than %d digits"
+            % sys.get_int_max_str_digits()
+        ) from None
+
+
+def load_json(path: str):
+    """:func:`parse_json` on a user's file; a file that is not UTF-8 is
+    a ParameterError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return datum_from_json(json.load(fh))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParameterError("%s: %s" % (path, exc)) from None
+    return parse_json(text)
+
+
+def load_datum(path: str) -> SuperRootDatum:
+    return datum_from_json(load_json(path))

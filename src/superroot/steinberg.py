@@ -26,21 +26,24 @@ from .rootdata import (
     OrderFunctional,
     ParameterError,
     SuperRootDatum,
+    check_characteristic,
     check_odd_prime,
     check_positive,
+    is_json_int,
     positive_system,
+    prime_power,
 )
 
 
-class UnsupportedFamilyError(NotImplementedError):
+class UnsupportedFamilyError(lattice.SuperrootError, NotImplementedError):
     """The requested predicate has no formula for this family."""
 
 
-class FlatnessError(ValueError):
+class FlatnessError(lattice.SuperrootError, ValueError):
     """A weight failed the flat (or dominant) precondition."""
 
 
-class DecompositionFailure(ValueError):
+class DecompositionFailure(lattice.SuperrootError, ValueError):
     """No digit decomposition was found within the search bounds."""
 
     def __init__(self, message: str, frontier: Sequence[Weight]):
@@ -85,8 +88,7 @@ def is_flat(datum: SuperRootDatum, p: int, lam: Weight) -> bool:
         raise UnsupportedFamilyError(
             "no flat-weight characterization for family %r" % datum.label
         )
-    if p != 0 and (p < 3 or p % 2 == 0):
-        raise ParameterError("p must be 0 or an odd prime, got %r" % (p,))
+    check_characteristic(p)
     kind, params = datum.family.kind, datum.family.params
     if kind == "q":
         (n,) = params
@@ -137,13 +139,7 @@ def _kform_vector(L: LieSuperAlgebra, alpha: Weight) -> Weight:
     """Diagonal of [K_alpha, K_alpha]; pairing a weight with it gives the
     value of the weight on that Cartan element."""
     k = K_alpha(L, alpha)
-    kk = L.bracket(k, k)
-    mat = L.element_matrix(kk)
-    for i in range(L.size):
-        for j in range(L.size):
-            if i != j and mat[i][j]:
-                raise ParameterError("[K_alpha, K_alpha] is not diagonal")
-    return tuple(mat[i][i] for i in range(L.rank))
+    return L.diagonal(L.bracket(k, k), "[K_alpha, K_alpha]")
 
 
 def _restriction_rows(
@@ -172,6 +168,21 @@ def _bound(
     return kval, q - 1 if kval % p == 0 else q
 
 
+def _check_admissible(
+    datum: SuperRootDatum,
+    L: LieSuperAlgebra,
+    order: OrderFunctional,
+    psi_even: Sequence[Weight],
+    psi_odd: Sequence[Weight],
+) -> None:
+    report = check_admissible_base(L, datum, order, psi_even, psi_odd)
+    if not report.ok:
+        raise ParameterError(
+            "(psi_even, psi_odd) is not an admissible base: %s"
+            % "; ".join(report.failures)
+        )
+
+
 def is_restricted(
     datum: SuperRootDatum,
     L: LieSuperAlgebra,
@@ -191,14 +202,10 @@ def is_restricted(
     """
     check_odd_prime(p)
     check_positive(r)
+    q = prime_power(p, r)
     lattice.check_rank(lam, datum.rank)
     if validate_base:
-        report = check_admissible_base(L, datum, order, psi_even, psi_odd)
-        if not report.ok:
-            raise ParameterError(
-                "(psi_even, psi_odd) is not an admissible base: %s"
-                % "; ".join(report.failures)
-            )
+        _check_admissible(datum, L, order, psi_even, psi_odd)
     weakened = not _has_flat_rule(datum)
     if not (is_dominant(datum, order, lam) if weakened else is_flat(datum, p, lam)):
         raise FlatnessError(
@@ -208,7 +215,7 @@ def is_restricted(
     checks: List[PerRootCheck] = []
     for alpha, coroot, kvec in _restriction_rows(datum, L, psi_even, psi_odd):
         pairing = lattice.pair(lam, coroot)
-        kval, bound = _bound(lam, kvec, p, p**r)
+        kval, bound = _bound(lam, kvec, p, q)
         kind = "even-only" if kvec is None else "shared"
         checks.append(PerRootCheck(alpha, kind, pairing, kval, bound, pairing <= bound))
     return RestrictionReport(
@@ -297,12 +304,7 @@ def steinberg_decompose(
     radius = _search_radius(radius)
     lattice.check_rank(lam, datum.rank)
     if validate_base:
-        base_report = check_admissible_base(L, datum, order, psi_even, psi_odd)
-        if not base_report.ok:
-            raise ParameterError(
-                "(psi_even, psi_odd) is not an admissible base: %s"
-                % "; ".join(base_report.failures)
-            )
+        _check_admissible(datum, L, order, psi_even, psi_odd)
     if _has_flat_rule(datum):
         lam_ok = is_flat(datum, p, lam)
 
@@ -443,7 +445,7 @@ def frobenius_twist(a: CharacterElement, p: int, r: int) -> CharacterElement:
     check_odd_prime(p)
     if r < 0:
         raise ParameterError("twist exponent must be >= 0")
-    q = p**r
+    q = prime_power(p, r)
     return CharacterElement.from_dict(
         a.rank, {lattice.scale(q, w): m for w, m in a.terms}
     )
@@ -482,14 +484,17 @@ def char_to_json(ch: CharacterElement) -> dict:
 def char_from_json(data: dict, rank: Optional[int] = None) -> CharacterElement:
     if not isinstance(data, dict) or "terms" not in data:
         raise ParameterError("character JSON must be an object with 'terms'")
+    if not isinstance(data["terms"], list):
+        raise ParameterError("terms: expected a list")
     terms: Dict[Weight, int] = {}
     for k, entry in enumerate(data["terms"]):
         if (
             not isinstance(entry, dict)
             or "weight" not in entry
             or "mult" not in entry
-            or not isinstance(entry["mult"], int)
+            or not is_json_int(entry["mult"])
             or not isinstance(entry["weight"], list)
+            or not all(is_json_int(c) for c in entry["weight"])
         ):
             raise ParameterError("terms[%d]: expected {weight: [int], mult: int}" % k)
         w = tuple(entry["weight"])

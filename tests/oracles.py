@@ -7,7 +7,9 @@ algebra over an explicit splitting field (the eighth cyclotomic field,
 which contains i and sqrt(2) and hence splits every diagonal form with
 entries in {0, +-1, +-2}).  The digit-search reference keeps the
 library's per-digit predicates and replaces only the search order's
-implementation, by the eager sorted shift box.
+implementation, by the eager sorted shift box.  The dense Lie models
+build gl(m|n), q(n) and p(n) from dense N x N matrices, as the library
+did before it stored only their nonzero entries.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from superroot import lattice
-from superroot.liesuper import check_admissible_base
+from superroot.liesuper import EVEN, ODD, BasisElement, DecompositionError, check_admissible_base
 from superroot.rootdata import ParameterError, check_odd_prime, positive_system
 from superroot.steinberg import (
     DecompositionFailure,
@@ -628,3 +630,209 @@ def reference_decompose(
     while digits and lattice.is_zero(digits[-1]):
         digits.pop()
     return digits
+
+
+# ---------------------------------------------------------------------------
+# The Lie models as they were before matrices were stored sparse: every
+# basis matrix is a dense N x N tuple, the bracket table is built from
+# dim^2 dense commutators, and decomposition scans a dense residual.
+
+
+Matrix = Tuple[Tuple[int, ...], ...]
+Element = Dict[int, int]
+
+
+def _zero_matrix(size: int) -> List[List[int]]:
+    return [[0] * size for _ in range(size)]
+
+
+def _freeze(mat: Sequence[Sequence[int]]) -> Matrix:
+    return tuple(tuple(row) for row in mat)
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    size = len(a)
+    out = _zero_matrix(size)
+    for i in range(size):
+        arow = a[i]
+        orow = out[i]
+        for k in range(size):
+            if arow[k]:
+                c = arow[k]
+                brow = b[k]
+                for j in range(size):
+                    if brow[j]:
+                        orow[j] += c * brow[j]
+    return _freeze(out)
+
+
+def mat_add(a: Matrix, b: Matrix, sign: int = 1) -> Matrix:
+    return _freeze(
+        [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    )
+
+
+def dense_super_commutator(a: Matrix, b: Matrix, parity_a: str, parity_b: str) -> Matrix:
+    sign = -1 if (parity_a == ODD and parity_b == ODD) else 1
+    return mat_add(mat_mul(a, b), mat_mul(b, a), -sign)
+
+
+class DenseLieSuperAlgebra:
+    """Finite homogeneous basis plus the exact bracket table, with every
+    matrix stored dense."""
+
+    def __init__(self, family: str, rank: int, size: int, basis: List[BasisElement]):
+        self.family = family
+        self.rank = rank
+        self.size = size
+        self.basis = basis
+        self.dim = len(basis)
+        self._anchors: List[Tuple[int, int, int]] = []
+        seen = set()
+        for b in basis:
+            anchor = None
+            for i in range(size):
+                for j in range(size):
+                    if b.matrix[i][j]:
+                        if (i, j) in seen:
+                            raise ValueError("basis supports are not disjoint")
+                        seen.add((i, j))
+                        if anchor is None:
+                            anchor = (i, j, b.matrix[i][j])
+            if anchor is None:
+                raise ValueError("zero basis matrix")
+            self._anchors.append(anchor)
+        self.bracket_table: Dict[Tuple[int, int], Element] = {}
+        for x in basis:
+            for y in basis:
+                mat = dense_super_commutator(x.matrix, y.matrix, x.parity, y.parity)
+                coeffs = self.decompose(mat)
+                if coeffs:
+                    self.bracket_table[(x.index, y.index)] = coeffs
+
+    # -- coordinates ----------------------------------------------------
+
+    def decompose(self, mat: Matrix) -> Element:
+        """Exact coordinates of ``mat`` over the basis."""
+        coeffs: Element = {}
+        residual = [list(row) for row in mat]
+        for b, (i, j, v) in zip(self.basis, self._anchors):
+            c = residual[i][j] * (1 if v == 1 else -1) if abs(v) == 1 else None
+            if c is None:
+                # anchors are +-1 for all built-in families
+                if residual[i][j] % v:
+                    raise DecompositionError("non-integral coordinate")
+                c = residual[i][j] // v
+            if c:
+                coeffs[b.index] = c
+                for r in range(self.size):
+                    row = b.matrix[r]
+                    for s in range(self.size):
+                        if row[s]:
+                            residual[r][s] -= c * row[s]
+        if any(any(row) for row in residual):
+            raise DecompositionError("matrix is not in the span of the basis")
+        return coeffs
+
+    def element_matrix(self, elem: Mapping[int, int]) -> Matrix:
+        out = _zero_matrix(self.size)
+        for idx, c in elem.items():
+            for i in range(self.size):
+                row = self.basis[idx].matrix[i]
+                for j in range(self.size):
+                    if row[j]:
+                        out[i][j] += c * row[j]
+        return _freeze(out)
+
+
+def dense_gl_superalgebra(m: int, n: int) -> LieSuperAlgebra:
+    if m < 1 or n < 1:
+        raise ParameterError("gl(m|n) requires m, n >= 1")
+    size = m + n
+    basis: List[BasisElement] = []
+    odd: List[Tuple[str, Weight, Matrix]] = []
+    for i in range(size):
+        for j in range(size):
+            mat = _zero_matrix(size)
+            mat[i][j] = 1
+            weight = lattice.unit_difference(size, i, j)
+            same_block = (i < m) == (j < m)
+            if same_block:
+                name = "H_%d" % (i + 1) if i == j else "X[%d,%d]" % (i + 1, j + 1)
+                basis.append(
+                    BasisElement(len(basis), EVEN, weight, _freeze(mat), name)
+                )
+            else:
+                odd.append(("Y[%d,%d]" % (i + 1, j + 1), weight, _freeze(mat)))
+    for name, weight, mat in odd:
+        basis.append(BasisElement(len(basis), ODD, weight, mat, name))
+    return DenseLieSuperAlgebra("gl(%d|%d)" % (m, n), size, size, basis)
+
+
+def dense_q_superalgebra(n: int) -> LieSuperAlgebra:
+    if n < 1:
+        raise ParameterError("q(n) requires n >= 1")
+    size = 2 * n
+    basis: List[BasisElement] = []
+    for i in range(n):
+        for j in range(n):
+            mat = _zero_matrix(size)
+            mat[i][j] = 1
+            mat[n + i][n + j] = 1
+            name = "H_%d" % (i + 1) if i == j else "X[%d,%d]" % (i + 1, j + 1)
+            weight = lattice.unit_difference(n, i, j)
+            basis.append(BasisElement(len(basis), EVEN, weight, _freeze(mat), name))
+    for i in range(n):
+        for j in range(n):
+            mat = _zero_matrix(size)
+            mat[i][n + j] = 1
+            mat[n + i][j] = 1
+            name = "K_%d" % (i + 1) if i == j else "Y[%d,%d]" % (i + 1, j + 1)
+            weight = lattice.unit_difference(n, i, j)
+            basis.append(BasisElement(len(basis), ODD, weight, _freeze(mat), name))
+    return DenseLieSuperAlgebra("q(%d)" % n, n, size, basis)
+
+
+def dense_p_superalgebra(n: int) -> LieSuperAlgebra:
+    if n < 2:
+        raise ParameterError("p(n) requires n >= 2")
+    size = 2 * n
+    basis: List[BasisElement] = []
+    for i in range(n):
+        for j in range(n):
+            mat = _zero_matrix(size)
+            mat[i][j] = 1
+            mat[n + j][n + i] = -1
+            name = "H_%d" % (i + 1) if i == j else "X[%d,%d]" % (i + 1, j + 1)
+            weight = lattice.unit_difference(n, i, j)
+            basis.append(BasisElement(len(basis), EVEN, weight, _freeze(mat), name))
+    # symmetric block: weights li + lj (diagonal gives 2*li)
+    for i in range(n):
+        for j in range(i, n):
+            mat = _zero_matrix(size)
+            mat[i][n + j] = 1
+            if i != j:
+                mat[j][n + i] = 1
+            weight = tuple(
+                (1 if k == i else 0) + (1 if k == j else 0) for k in range(n)
+            )
+            basis.append(
+                BasisElement(
+                    len(basis), ODD, weight, _freeze(mat), "B[%d,%d]" % (i + 1, j + 1)
+                )
+            )
+    # antisymmetric block: weights -(li + lj), i < j
+    for i in range(n):
+        for j in range(i + 1, n):
+            mat = _zero_matrix(size)
+            mat[n + i][j] = 1
+            mat[n + j][i] = -1
+            weight = tuple(
+                -(1 if k == i else 0) - (1 if k == j else 0) for k in range(n)
+            )
+            basis.append(
+                BasisElement(
+                    len(basis), ODD, weight, _freeze(mat), "C[%d,%d]" % (i + 1, j + 1)
+                )
+            )
+    return DenseLieSuperAlgebra("p(%d)" % n, n, size, basis)

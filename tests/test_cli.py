@@ -258,3 +258,107 @@ def test_file_datum_defaults_follow_family_not_label(capsys, tmp_path):
         capsys, "delta", "--family", "file", "--file", path, "--p", "3", "--r", "1"
     )
     assert code == 0 and payload["delta_r"] == [-1, 1]
+
+
+CHAR_1 = '{"terms":[{"weight":[1,-1],"mult":1}]}'
+
+
+def _json_file(tmp_path, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _datum_with(**changes):
+    return dict(datum_to_json(build_q(2)), **changes)
+
+
+@pytest.mark.parametrize(
+    "argv, error, message",
+    [
+        (["delta", "--family", "gl", "--m", "2", "--n", "1", "--p", "3", "--r", "1",
+          "--order", "1/0"], "ParameterError", "order value '1/0' is not a rational number"),
+        (["admissible", "--family", "q", "--n", "2", "--order", "a,b"],
+         "ParameterError", "order value 'a' is not a rational number"),
+        (["describe", "--family", "file", "--file", _datum_with(even_roots=7)],
+         "DatumValidationError", "$.even_roots: expected a list"),
+        (["describe", "--family", "file", "--file", _datum_with(odd_roots={})],
+         "DatumValidationError", "$.odd_roots: expected a list"),
+        (["describe", "--family", "file", "--file", _datum_with(rank=True)],
+         "DatumValidationError", "$.rank: expected an integer"),
+        (["describe", "--family", "file", "--file", _datum_with(h_odd_dim=False)],
+         "DatumValidationError", "$.h_odd_dim: expected an integer"),
+        (["describe", "--family", "file", "--file",
+          _datum_with(odd_roots=[{"root": [1, -1], "mult": True}])],
+         "DatumValidationError", "$.odd_roots[0].mult: expected an integer"),
+        (["describe", "--family", "file", "--file",
+          _datum_with(even_roots=[{"root": [True, -1], "coroot": [1, -1]}])],
+         "DatumValidationError", "$.even_roots[0].root: expected a list of integers"),
+        (["char", "--op", "add", "--a", '{"terms":7}', "--b", CHAR_1],
+         "ParameterError", "terms: expected a list"),
+        (["char", "--op", "add", "--a", '{"terms":[{"weight":[1.5],"mult":1}]}', "--b", CHAR_1],
+         "ParameterError", "terms[0]: expected {weight: [int], mult: int}"),
+        (["char", "--op", "add", "--a",
+          '{"terms":[{"weight":["a"],"mult":1},{"weight":[1],"mult":1}]}', "--b", CHAR_1],
+         "ParameterError", "terms[0]: expected {weight: [int], mult: int}"),
+        (["char", "--op", "add", "--a", '{"terms":[{"weight":[1,-1],"mult":true}]}', "--b", CHAR_1],
+         "ParameterError", "terms[0]: expected {weight: [int], mult: int}"),
+        (["dims", "--family", "q", "--n", "2", "--p", "3", "--r", "3000"],
+         "ParameterError", "result has more than 4300 decimal digits"),
+        (["char", "--op", "twist", "--a", CHAR_1, "--p", "3", "--r", "10000"],
+         "ParameterError", "result has more than 4300 decimal digits"),
+        (["char", "--op", "twist", "--a", CHAR_1, "--p", "3", "--r", "100000"],
+         "ParameterError", "3**100000 exceeds the 32768-bit limit on p**r"),
+        (["dims", "--family", "gl", "--m", "1", "--n", "1", "--p", "3", "--r", "100000000"],
+         "ParameterError", "3**100000000 exceeds the 32768-bit limit on p**r"),
+        (["flatcheck", "--family", "q", "--n", "2", "--p", "9", "--weight", "1,0"],
+         "ParameterError", "p must be 0 or an odd prime, got 9"),
+    ],
+    ids=[
+        "order-zero-division", "order-not-rational", "even-roots-not-list",
+        "odd-roots-not-list", "rank-bool", "h-odd-dim-bool", "mult-bool", "root-entry-bool",
+        "terms-not-list", "weight-float", "weight-string", "char-mult-bool",
+        "dims-beyond-str-limit", "twist-beyond-str-limit", "twist-huge-r",
+        "dims-huge-r", "flatcheck-odd-composite-p",
+    ],
+)
+def test_malformed_request_is_a_structured_error(capsys, tmp_path, argv, error, message):
+    argv = [_json_file(tmp_path, tok) if isinstance(tok, dict) else tok for tok in argv]
+    code, payload = run_json(capsys, *argv)
+    assert code == 1
+    assert payload == {"error": {"type": error, "message": message}}
+
+
+def test_large_results_within_the_limit_are_decimal_strings(capsys):
+    # 3^(3600 * 2) * 2^2 has 3,436 digits: under the limit, so answered.
+    code, payload = run_json(
+        capsys, "dims", "--family", "gl", "--m", "1", "--n", "1", "--p", "3", "--r", "3600"
+    )
+    assert code == 0
+    assert int(payload["dim_O_Gr"]) == 3 ** 7200 * 4 == int(payload["pbw_count"])
+
+
+def test_table_mode_reports_an_oversized_result(capsys):
+    code, out = run(capsys, "dims", "--family", "q", "--n", "2", "--p", "3", "--r", "3000")
+    assert code == 1
+    assert out.splitlines() == [
+        'error  {"message": "result has more than 4300 decimal digits", "type": "ParameterError"}'
+    ]
+
+
+def test_unreadable_json_is_a_structured_error(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"rank": 2, "label": "\xff"}')
+    code, payload = run_json(capsys, "describe", "--family", "file", "--file", str(path))
+    assert code == 1
+    assert payload["error"]["type"] == "ParameterError"
+    assert payload["error"]["message"].startswith(str(path) + ": 'utf-8' codec can't decode")
+    huge = '{"terms":[{"weight":[%s],"mult":1}]}' % ("1" * 5000)
+    (tmp_path / "huge.json").write_text(huge)
+    for text in (huge, "@" + str(tmp_path / "huge.json")):
+        code, payload = run_json(capsys, "char", "--op", "add", "--a", text, "--b", CHAR_1)
+        assert code == 1
+        assert payload == {"error": {
+            "type": "ParameterError",
+            "message": "a number in the JSON text has more than 4300 digits",
+        }}

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from superroot import lattice
 from superroot.liesuper import (
     EVEN,
@@ -52,10 +55,12 @@ def test_self_bracket_parity_cases():
 
 
 def lattice_mat_scale(L, b):
-    from superroot.liesuper import mat_mul
-
-    sq = mat_mul(b.matrix, b.matrix)
-    return tuple(tuple(2 * v for v in row) for row in sq)
+    sq = {}
+    for (i, k), u in b.matrix:
+        for (k2, j), v in b.matrix:
+            if k == k2:
+                sq[(i, j)] = sq.get((i, j), 0) + 2 * u * v
+    return tuple(sorted((ij, v) for ij, v in sq.items() if v))
 
 
 def test_q2_odd_cartan_square():
@@ -66,9 +71,7 @@ def test_q2_odd_cartan_square():
 
 def test_bracket_rejects_foreign_matrix():
     L = q_superalgebra(2)
-    bad = tuple(
-        tuple(1 if (i, j) == (0, 1) else 0 for j in range(4)) for i in range(4)
-    )
+    bad = (((0, 1), 1),)
     with pytest.raises(DecompositionError):
         L.decompose(bad)
 
@@ -303,3 +306,62 @@ def test_eval_weight_rejects_non_cartan():
         eval_weight_on_cartan(L, (1, 0), L.even_root_vector((1, -1)))
     with pytest.raises(ParameterError):
         eval_weight_on_cartan(L, (1, 0), L.odd_cartan()[0])
+
+
+# -- the sparse models against the dense reference ----------------------------
+
+MODELS = [("gl", (m, n)) for m in (1, 2, 3) for n in (1, 2, 3)]
+MODELS += [("q", (n,)) for n in (2, 3, 4)] + [("p", (n,)) for n in (2, 3, 4)]
+SPARSE = {"gl": gl_superalgebra, "q": q_superalgebra, "p": p_superalgebra}
+DENSE = {
+    "gl": oracles.dense_gl_superalgebra,
+    "q": oracles.dense_q_superalgebra,
+    "p": oracles.dense_p_superalgebra,
+}
+
+
+def dense_matrix(mat, size):
+    rows = [[0] * size for _ in range(size)]
+    for (i, j), v in mat:
+        rows[i][j] += v
+    return tuple(tuple(row) for row in rows)
+
+
+@pytest.mark.parametrize("kind, params", MODELS, ids=lambda v: str(v))
+def test_bracket_table_matches_dense_reference(kind, params):
+    L, ref = SPARSE[kind](*params), DENSE[kind](*params)
+    assert (L.family, L.rank, L.size) == (ref.family, ref.rank, ref.size)
+    assert [(b.index, b.parity, b.weight, b.name) for b in L.basis] == [
+        (b.index, b.parity, b.weight, b.name) for b in ref.basis
+    ]
+    for b, d in zip(L.basis, ref.basis):
+        assert dense_matrix(b.matrix, L.size) == d.matrix
+    # Entry for entry, in the same key order at both levels.
+    assert [(k, list(v.items())) for k, v in L.bracket_table.items()] == [
+        (k, list(v.items())) for k, v in ref.bracket_table.items()
+    ]
+    for coeffs in L.bracket_table.values():
+        assert dense_matrix(L.element_matrix(coeffs), L.size) == ref.element_matrix(coeffs)
+
+
+def _decompose_outcome(algebra, mat):
+    try:
+        return algebra.decompose(mat)
+    except DecompositionError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["q", "p"]),
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-2, 2), max_size=6
+    ),
+)
+def test_decompose_matches_dense_reference(kind, entries):
+    # Mostly foreign matrices: same coordinates, or the same error message.
+    L, ref = SPARSE[kind](2), DENSE[kind](2)
+    mat = tuple(sorted((ij, v) for ij, v in entries.items() if v))
+    assert _decompose_outcome(L, mat) == _decompose_outcome(ref, dense_matrix(mat, 4))
+    coeffs = {i: c for i, c in enumerate(entries.values()) if c}
+    assert _decompose_outcome(L, L.element_matrix(coeffs)) == coeffs

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from superroot import cli, lattice, liesuper, rootdata
+import superroot
+from superroot import cli, lattice, liesuper, rootdata, steinberg
+from superroot.lattice import SuperrootError
 from superroot.rootdata import (
     DatumValidationError,
     Family,
@@ -461,3 +463,60 @@ def test_datum_rejects_unnegated_even_root():
             h_odd_dim=0,
             label="bad",
         )
+
+
+# -- the error contract -----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cls, base",
+    [
+        (lattice.DimensionMismatch, ValueError),
+        (DatumValidationError, ValueError),
+        (InvalidOrderError, ValueError),
+        (ParameterError, ValueError),
+        (liesuper.DecompositionError, ValueError),
+        (steinberg.FlatnessError, ValueError),
+        (steinberg.DecompositionFailure, ValueError),
+        (steinberg.UnsupportedFamilyError, NotImplementedError),
+    ],
+    ids=lambda v: v.__name__,
+)
+def test_every_library_error_is_a_superroot_error(cls, base):
+    assert issubclass(cls, SuperrootError) and issubclass(cls, base)
+
+
+def test_the_cli_catches_the_base_class():
+    assert SuperrootError is superroot.SuperrootError
+    assert not hasattr(cli, "DOMAIN_ERRORS")
+
+
+def test_prime_power_is_bounded_before_it_is_computed():
+    top = rootdata.MAX_POWER_BITS // 2  # 3 has bit length 2
+    assert rootdata.prime_power(3, top) == 3**top
+    assert rootdata.prime_power(5, 0) == 1
+    with pytest.raises(ParameterError, match=r"^3\*\*%d exceeds the" % (top + 1)):
+        rootdata.prime_power(3, top + 1)
+    for call in (
+        lambda r: is_frobenius_unimodular(build_q(2), 3, r),
+        lambda r: delta_r(build_q(2), default_order(build_q(2)), 3, r),
+        lambda r: dim_O_Gr(build_q(2), 3, r),
+        lambda r: pbw_monomial_count(build_q(2), 3, r),
+        lambda r: induced_dims(build_q(2), default_order(build_q(2)), 3, r, 1),
+        lambda r: steinberg.frobenius_twist(steinberg.CharacterElement.monomial((1, 0)), 3, r),
+    ):
+        with pytest.raises(ParameterError, match="-bit limit on p"):
+            call(10**12)
+
+
+@pytest.mark.parametrize("bad", ["1/0", "a", "", "1.5.2", float("inf"), float("nan")])
+def test_order_values_must_be_rational(bad):
+    with pytest.raises(ParameterError, match="is not a rational number"):
+        OrderFunctional.from_values([1, bad])
+
+
+@pytest.mark.parametrize("key", ["rank", "h_odd_dim"])
+def test_json_bools_are_not_integers(key):
+    with pytest.raises(DatumValidationError, match=r"^\$\.%s: expected an integer$" % key):
+        datum_from_json(dict(datum_to_json(build_q(2)), **{key: True}))
+    assert not rootdata.is_json_int(True) and rootdata.is_json_int(0)

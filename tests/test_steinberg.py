@@ -9,6 +9,7 @@ import oracles
 from oracles import reference_decompose, shift_boxes
 from superroot import lattice, steinberg
 from superroot.cli import default_psi_odd
+from superroot.clifford import gram_form
 from superroot.lattice import DimensionMismatch
 from superroot.liesuper import gl_superalgebra, lie_algebra_for, q_superalgebra
 from superroot.rootdata import (
@@ -491,3 +492,11 @@ def test_char_json_round_trip():
         "terms": [{"weight": [0, 5], "mult": -1}, {"weight": [1, -2], "mult": 3}]
     }
     assert char_from_json(blob) == ch
+
+
+@pytest.mark.parametrize("p", [-3, 1, 2, 9, 15])
+def test_flat_and_gram_share_the_characteristic_check(p):
+    with pytest.raises(ParameterError, match=r"^p must be 0 or an odd prime, got %d$" % p):
+        is_flat(build_q(2), p, (1, 0))
+    with pytest.raises(ParameterError, match=r"^char_p must be 0 or an odd prime, got %d$" % p):
+        gram_form(q_superalgebra(2), (1, 0), p)
