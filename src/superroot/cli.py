@@ -368,6 +368,10 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
+    for dest, value in vars(args).items():
+        # argparse drops a lone "--" value ("--weight=--") and stores [].
+        if isinstance(value, list) and dest != "inputs":
+            parser.error("argument --%s: expected one argument" % dest.replace("_", "-"))
     try:
         payload, code = _jsonable(args.fn(args)), 0
     except (lattice.SuperrootError, OSError, json.JSONDecodeError) as exc:

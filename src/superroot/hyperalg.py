@@ -18,6 +18,9 @@ from .rootdata import ParameterError, check_odd_prime
 Monomial = Tuple[int, int]
 Poly = Dict[Monomial, int]
 
+# The most comparisons one verify_commutator_formula sweep may make.
+MAX_COMPARISONS = 250_000
+
 
 @dataclass(frozen=True)
 class DividedMonomial:
@@ -152,6 +155,12 @@ def verify_commutator_formula(
     """
     if max_m < 0 or max_n < 0 or degree_bound < 0:
         raise ParameterError("bounds must be nonnegative")
+    total = (max_m + 1) * (max_n + 1) * (degree_bound + 1) * (degree_bound + 2) // 2
+    if total > MAX_COMPARISONS:
+        raise ParameterError(
+            "the sweep would make %d comparisons, above the limit of %d"
+            % (total, MAX_COMPARISONS)
+        )
     if p:
         check_odd_prime(p)
     checked = 0

@@ -124,8 +124,9 @@ def hnf(rows: Iterable[Sequence[int]]) -> List[Weight]:
         if pivot_row == len(mat):
             break
     mat = mat[:pivot_row]
-    # Reduce entries above each pivot.
-    for prow, pcol in reversed(pivots):
+    # Reduce entries above each pivot, left to right: row prow is zero
+    # left of pcol, so a subtraction never disturbs an earlier column.
+    for prow, pcol in pivots:
         piv = mat[prow][pcol]
         for i in range(prow):
             q = mat[i][pcol] // piv

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import lattice
 from .lattice import Weight
@@ -274,12 +274,17 @@ def lie_algebra_for(datum: SuperRootDatum) -> LieSuperAlgebra:
 # Subalgebra closure over Q with integral saturation.
 
 
-def _reduce(vec: List[Fraction], rows: List[Tuple[int, List[Fraction]]]) -> List[Fraction]:
-    for piv, row in rows:
-        if vec[piv]:
-            c = vec[piv] / row[piv]
-            vec = [a - c * b for a, b in zip(vec, row)]
-    return vec
+Sparse = Dict[int, Fraction]
+
+
+def _subtract(vec: Sparse, c: Fraction, row: Sparse) -> None:
+    """vec -= c * row in place, dropping the entries that become zero."""
+    for k, w in row.items():
+        v = vec.get(k, 0) - c * w
+        if v:
+            vec[k] = v
+        else:
+            vec.pop(k, None)
 
 
 def subalgebra_closure(
@@ -287,59 +292,52 @@ def subalgebra_closure(
     generators: Iterable[Union[int, BasisElement, Mapping[int, int]]],
 ) -> List[Tuple[int, ...]]:
     """Saturated integral basis of the smallest bracket-closed subspace
-    containing the generators (HNF rows in basis coordinates)."""
-    rows: List[Tuple[int, List[Fraction]]] = []
+    containing the generators (HNF rows in basis coordinates).
 
-    def insert(vec: List[Fraction]) -> bool:
-        vec = _reduce(list(vec), rows)
-        piv = next((i for i, v in enumerate(vec) if v), None)
-        if piv is None:
+    The span is kept as reduced echelon rows {index: Fraction}: each row
+    is 1 at its pivot and 0 at every other row's pivot, so a vector is
+    reduced by one lookup per nonzero coordinate."""
+    pivot_rows: Dict[int, Sparse] = {}
+
+    def insert(vec: Mapping[int, object]) -> bool:
+        red: Sparse = {k: Fraction(v) for k, v in vec.items()}
+        for piv in [k for k in red if k in pivot_rows]:
+            _subtract(red, red[piv], pivot_rows[piv])
+        if not red:
             return False
-        rows.append((piv, vec))
+        piv = min(red)
+        lead = red[piv]
+        row = {k: v / lead for k, v in red.items()}
+        for other in pivot_rows.values():
+            if piv in other:
+                _subtract(other, other[piv], row)
+        pivot_rows[piv] = row
         return True
 
-    def to_vec(elem: Mapping[int, object]) -> List[Fraction]:
-        out = [Fraction(0)] * L.dim
-        for k, v in elem.items():
-            out[k] = Fraction(v)
-        return out
-
-    frontier: List[List[Fraction]] = []
+    frontier: List[Element] = []
     for g in generators:
-        vec = to_vec(L.as_element(g))
+        vec = L.as_element(g)
         if insert(vec):
             frontier.append(vec)
-    members: List[List[Fraction]] = list(frontier)
+    members = list(frontier)
     while frontier:
-        new_frontier: List[List[Fraction]] = []
+        new_frontier: List[Element] = []
         for u in frontier:
             for v in members:
                 for a, b in ((u, v), (v, u)):
-                    prod: Dict[int, Fraction] = {}
-                    for i, ci in enumerate(a):
-                        if not ci:
-                            continue
-                        for j, cj in enumerate(b):
-                            if not cj:
-                                continue
-                            entry = L.bracket_table.get((i, j))
-                            if not entry:
-                                continue
-                            c = ci * cj
-                            for k, w in entry.items():
-                                prod[k] = prod.get(k, Fraction(0)) + c * w
-                    vec = to_vec(prod)
+                    vec = L.bracket(a, b)
                     if insert(vec):
                         new_frontier.append(vec)
         members.extend(new_frontier)
         frontier = new_frontier
-    if not rows:
-        return []
     int_rows = []
-    for _piv, row in rows:
-        den = math.lcm(*(v.denominator for v in row))
-        int_rows.append([int(v * den) for v in row])
-    return lattice.saturate(int_rows, L.dim)
+    for row in pivot_rows.values():
+        den = math.lcm(*(v.denominator for v in row.values()))
+        dense = [0] * L.dim
+        for k, v in row.items():
+            dense[k] = int(v * den)
+        int_rows.append(dense)
+    return lattice.saturate(int_rows, L.dim) if int_rows else []
 
 
 # ---------------------------------------------------------------------------
@@ -362,27 +360,78 @@ class AdmissibleBaseReport:
 
 def _cone_member(
     target: Weight,
-    psis: Sequence[Weight],
-    order: OrderFunctional,
+    budget: int,
+    psis: Sequence[Tuple[Weight, int]],
     memo: Dict[Weight, bool],
 ) -> bool:
-    """Whether target is a nonnegative integer combination of the psis.
+    """Whether target, of integer order value ``budget``, is a
+    nonnegative integer combination of the psis, given with their
+    positive integer order values.
 
-    All psis have positive order value, so the order value is a strictly
-    decreasing budget and the search terminates.
+    The budget strictly decreases along every branch, so the search
+    terminates; it is the fallback for linearly dependent bases.
     """
     if target in memo:
         return memo[target]
     if lattice.is_zero(target):
         return True
     memo[target] = False
-    budget = order.eval(target)
-    for psi in psis:
-        if order.eval(psi) <= budget:
-            if _cone_member(lattice.sub(target, psi), psis, order, memo):
+    for psi, value in psis:
+        if value <= budget:
+            if _cone_member(lattice.sub(target, psi), budget - value, psis, memo):
                 memo[target] = True
                 break
     return memo[target]
+
+
+def _coordinate_solver(
+    base: Sequence[Weight], rank: int
+) -> Optional[Callable[[Weight], bool]]:
+    """For a linearly independent nonempty base, a membership test of its
+    nonnegative integer cone; None for a dependent or empty base.
+
+    Gauss-Jordan elimination on [B | I] finds pivot columns P with B_P
+    invertible and E = B_P^-1, scaled to integers once; a target t has
+    the unique rational coordinates x = t_P E, and lies in the cone iff
+    x is a nonnegative integer vector with x B = t (the span check).
+    """
+    k = len(base)
+    if not k:
+        return None
+    rows = [
+        [Fraction(c) for c in psi] + [Fraction(int(s == t)) for s in range(k)]
+        for t, psi in enumerate(base)
+    ]
+    cols: List[int] = []
+    for t in range(k):
+        col = next((j for j in range(rank) if any(rows[i][j] for i in range(t, k))), None)
+        if col is None:
+            return None
+        i0 = next(i for i in range(t, k) if rows[i][col])
+        rows[t], rows[i0] = rows[i0], rows[t]
+        lead = rows[t][col]
+        rows[t] = [v / lead for v in rows[t]]
+        for i in range(k):
+            if i != t and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [a - c * b for a, b in zip(rows[i], rows[t])]
+        cols.append(col)
+    den = math.lcm(*(v.denominator for row in rows for v in row[rank:]))
+    inverse = [[int(v * den) for v in row[rank:]] for row in rows]
+
+    def member(target: Weight) -> bool:
+        coords = []
+        for s in range(k):
+            num = sum(target[col] * inverse[t][s] for t, col in enumerate(cols))
+            if num < 0 or num % den:
+                return False
+            coords.append(num // den)
+        return all(
+            sum(x * psi[j] for x, psi in zip(coords, base)) == target[j]
+            for j in range(rank)
+        )
+
+    return member
 
 
 def check_admissible_base(
@@ -421,14 +470,25 @@ def check_admissible_base(
     failures: List[str] = []
 
     # generation (a): the base spans every root with a uniform sign.
+    # The order functional, scaled to integers once: positive scaling
+    # keeps every sign and every comparison of order values.
+    den = math.lcm(*(v.denominator for v in order.values))
+    scaled = [v.numerator * (den // v.denominator) for v in order.values]
+
+    def value(w: Weight) -> int:
+        return sum(a * b for a, b in zip(scaled, w))
+
     base = list(dict.fromkeys(psi_even + psi_odd_set))
+    solve = _coordinate_solver(base, datum.rank)
+    psis = [(psi, value(psi)) for psi in base]
     memo: Dict[Weight, bool] = {}
     cone_ok = True
     for root in sorted(set(datum.all_roots())):
-        if order.eval(root) > 0:
-            member = _cone_member(root, base, order, memo)
+        signed = root if value(root) > 0 else lattice.neg(root)
+        if solve is not None:
+            member = solve(signed)
         else:
-            member = _cone_member(lattice.neg(root), base, order, memo)
+            member = _cone_member(signed, value(signed), psis, memo)
         if not member:
             cone_ok = False
             failures.append(

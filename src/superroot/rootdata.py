@@ -36,15 +36,45 @@ class ParameterError(SuperrootError, ValueError):
 # The largest power p**r, in bits, computed for a user-given exponent.
 MAX_POWER_BITS = 1 << 15
 
+# The largest rank of a family or a datum file, and the largest h_odd_dim
+# and odd-root multiplicity a datum file may give.
+MAX_RANK = 64
+
+# Miller-Rabin with the first 13 prime bases decides primality exactly
+# below this bound (Sorenson and Webster, 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_LIMIT = 3317044064679887385961981
+
 
 def is_odd_prime(p: int) -> bool:
+    """Trial division below 43**2, deterministic Miller-Rabin above; an odd
+    p at or beyond PRIME_TEST_LIMIT is refused."""
     if p < 3 or p % 2 == 0:
         return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p < 43 * 43:
+        d = 3
+        while d * d <= p:
+            if p % d == 0:
+                return False
+            d += 2
+        return True
+    if p >= PRIME_TEST_LIMIT:
+        raise ParameterError(
+            "p must be below %d for the primality test, got %d" % (PRIME_TEST_LIMIT, p)
+        )
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -96,7 +126,17 @@ class Family:
             raise DatumValidationError(
                 "lie_handle: expected gl(m|n), q(n) or p(n), got %r" % (text,)
             )
-        return Family(match[1], tuple(int(v) for v in match.groups()[1:] if v))
+        family = Family(match[1], tuple(int(v) for v in match.groups()[1:] if v))
+        if family.rank > MAX_RANK:
+            raise DatumValidationError("lie_handle: %s" % family.too_large())
+        return family
+
+    @property
+    def rank(self) -> int:
+        return sum(self.params)
+
+    def too_large(self) -> str:
+        return "%s has rank %d, above the limit of %d" % (self, self.rank, MAX_RANK)
 
     @property
     def shape(self) -> Tuple[int, int, int]:
@@ -108,6 +148,9 @@ class Family:
         return n, n * (n - 1), n * n if self.kind == "p" else n * (n - 1)
 
     def build(self) -> "SuperRootDatum":
+        """The family's datum; a rank above MAX_RANK is refused first."""
+        if self.rank > MAX_RANK:
+            raise ParameterError(self.too_large())
         return {"gl": build_gl, "q": build_q, "p": build_p}[self.kind](*self.params)
 
 
@@ -534,13 +577,19 @@ def datum_from_json(data: dict) -> SuperRootDatum:
         odd.append((_as_int_list(entry["root"], where + ".root"), entry["mult"]))
     handle = data.get("lie_handle")
     try:
+        family = None if handle is None else Family.parse(handle)
+        sizes = [("rank", data["rank"]), ("h_odd_dim", data["h_odd_dim"])]
+        sizes += [("odd_roots[%d].mult" % k, m) for k, (_r, m) in enumerate(odd)]
+        for where, size in sizes:
+            if size > MAX_RANK:
+                raise DatumValidationError("%s: must be at most %d" % (where, MAX_RANK))
         datum = SuperRootDatum(
             rank=data["rank"],
             even_roots=tuple(even),
             odd_roots=tuple(odd),
             h_odd_dim=data["h_odd_dim"],
             label=data["label"],
-            family=None if handle is None else Family.parse(handle),
+            family=family,
         )
     except DatumValidationError as exc:
         raise DatumValidationError("$.%s" % exc.args[0]) from exc

@@ -9,19 +9,38 @@ entries in {0, +-1, +-2}).  The digit-search reference keeps the
 library's per-digit predicates and replaces only the search order's
 implementation, by the eager sorted shift box.  The dense Lie models
 build gl(m|n), q(n) and p(n) from dense N x N matrices, as the library
-did before it stored only their nonzero entries.
+did before it stored only their nonzero entries.  The reference
+admissible-base check decides cone membership by the Fraction-valued DFS
+on every base and closes subalgebras over dense Fraction rows, as the
+library did before it scaled the order functional to integers.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from superroot import lattice
-from superroot.liesuper import EVEN, ODD, BasisElement, DecompositionError, check_admissible_base
-from superroot.rootdata import ParameterError, check_odd_prime, positive_system
+from superroot.liesuper import (
+    EVEN,
+    ODD,
+    AdmissibleBaseReport,
+    BasisElement,
+    DecompositionError,
+    LieSuperAlgebra,
+    check_admissible_base,
+)
+from superroot.rootdata import (
+    OrderFunctional,
+    ParameterError,
+    SuperRootDatum,
+    check_odd_prime,
+    positive_system,
+    simple_even_roots,
+)
 from superroot.steinberg import (
     DecompositionFailure,
     FlatnessError,
@@ -836,3 +855,213 @@ def dense_p_superalgebra(n: int) -> LieSuperAlgebra:
                 )
             )
     return DenseLieSuperAlgebra("p(%d)" % n, n, size, basis)
+
+
+# ---------------------------------------------------------------------------
+# The admissible-base check as it was before order values were scaled to
+# integers: a Fraction-valued DFS for cone membership on every base, and
+# a subalgebra closure over dense Fraction rows, reduced row by row.
+
+
+def _reduce(vec: List[Fraction], rows: List[Tuple[int, List[Fraction]]]) -> List[Fraction]:
+    for piv, row in rows:
+        if vec[piv]:
+            c = vec[piv] / row[piv]
+            vec = [a - c * b for a, b in zip(vec, row)]
+    return vec
+
+
+def dense_subalgebra_closure(
+    L: LieSuperAlgebra,
+    generators: Iterable[Union[int, BasisElement, Mapping[int, int]]],
+) -> List[Tuple[int, ...]]:
+    """Saturated integral basis of the smallest bracket-closed subspace
+    containing the generators (HNF rows in basis coordinates)."""
+    rows: List[Tuple[int, List[Fraction]]] = []
+
+    def insert(vec: List[Fraction]) -> bool:
+        vec = _reduce(list(vec), rows)
+        piv = next((i for i, v in enumerate(vec) if v), None)
+        if piv is None:
+            return False
+        rows.append((piv, vec))
+        return True
+
+    def to_vec(elem: Mapping[int, object]) -> List[Fraction]:
+        out = [Fraction(0)] * L.dim
+        for k, v in elem.items():
+            out[k] = Fraction(v)
+        return out
+
+    frontier: List[List[Fraction]] = []
+    for g in generators:
+        vec = to_vec(L.as_element(g))
+        if insert(vec):
+            frontier.append(vec)
+    members: List[List[Fraction]] = list(frontier)
+    while frontier:
+        new_frontier: List[List[Fraction]] = []
+        for u in frontier:
+            for v in members:
+                for a, b in ((u, v), (v, u)):
+                    prod: Dict[int, Fraction] = {}
+                    for i, ci in enumerate(a):
+                        if not ci:
+                            continue
+                        for j, cj in enumerate(b):
+                            if not cj:
+                                continue
+                            entry = L.bracket_table.get((i, j))
+                            if not entry:
+                                continue
+                            c = ci * cj
+                            for k, w in entry.items():
+                                prod[k] = prod.get(k, Fraction(0)) + c * w
+                    vec = to_vec(prod)
+                    if insert(vec):
+                        new_frontier.append(vec)
+        members.extend(new_frontier)
+        frontier = new_frontier
+    if not rows:
+        return []
+    int_rows = []
+    for _piv, row in rows:
+        den = math.lcm(*(v.denominator for v in row))
+        int_rows.append([int(v * den) for v in row])
+    return lattice.saturate(int_rows, L.dim)
+
+
+def fraction_cone_member(
+    target: Weight,
+    psis: Sequence[Weight],
+    order: OrderFunctional,
+    memo: Dict[Weight, bool],
+) -> bool:
+    """Whether target is a nonnegative integer combination of the psis.
+
+    All psis have positive order value, so the order value is a strictly
+    decreasing budget and the search terminates.
+    """
+    if target in memo:
+        return memo[target]
+    if lattice.is_zero(target):
+        return True
+    memo[target] = False
+    budget = order.eval(target)
+    for psi in psis:
+        if order.eval(psi) <= budget:
+            if fraction_cone_member(lattice.sub(target, psi), psis, order, memo):
+                memo[target] = True
+                break
+    return memo[target]
+
+
+def reference_check_admissible_base(
+    L: LieSuperAlgebra,
+    datum: SuperRootDatum,
+    order: OrderFunctional,
+    psi_even: Sequence[Weight],
+    psi_odd: Sequence[Weight],
+    mode: str = "assisted",
+) -> AdmissibleBaseReport:
+    """Evaluate the three base conditions: generation, separation,
+    multiplicity-one.
+
+    Generation demands (a) that every nonzero root is a sign-definite
+    integer combination of the base, and (b) that every positive odd
+    weight space lies in the bracket closure of the odd base vectors --
+    together with the even simple root vectors in ``assisted`` mode
+    (default), or of the odd base vectors alone in ``strict`` mode.
+    """
+    if mode not in ("assisted", "strict"):
+        raise ParameterError("mode must be 'assisted' or 'strict'")
+    psi_even = sorted(tuple(w) for w in psi_even)
+    psi_odd_set = sorted(set(tuple(w) for w in psi_odd))
+    expected_even = simple_even_roots(datum, order)
+    if psi_even != expected_even:
+        raise ParameterError(
+            "psi_even %r is not the simple system %r of the positive even roots"
+            % (psi_even, expected_even)
+        )
+    pos = positive_system(datum, order)
+    odd_pos = [w for w, _ in pos.odd_pos]
+    for gamma in psi_odd_set:
+        if gamma not in odd_pos:
+            raise ParameterError("psi_odd root %r is not a positive odd root" % (gamma,))
+
+    failures: List[str] = []
+
+    # generation (a): the base spans every root with a uniform sign.
+    base = list(dict.fromkeys(psi_even + psi_odd_set))
+    memo: Dict[Weight, bool] = {}
+    cone_ok = True
+    for root in sorted(set(datum.all_roots())):
+        if order.eval(root) > 0:
+            member = fraction_cone_member(root, base, order, memo)
+        else:
+            member = fraction_cone_member(lattice.neg(root), base, order, memo)
+        if not member:
+            cone_ok = False
+            failures.append(
+                "generation: root %r is not a signed combination of the base" % (root,)
+            )
+
+    # generation (b): bracket closure reaches every positive odd weight space.
+    gens: List[Mapping[int, int]] = []
+    for gamma in psi_odd_set:
+        for b in L.weight_space(gamma, ODD):
+            gens.append({b.index: 1})
+    if mode == "assisted":
+        for alpha in psi_even:
+            gens.append({L.even_root_vector(alpha).index: 1})
+    closure = dense_subalgebra_closure(L, gens)
+    closure_ok = True
+    for gamma in odd_pos:
+        for b in L.weight_space(gamma, ODD):
+            vec = [0] * L.dim
+            vec[b.index] = 1
+            if not lattice.in_lattice(vec, closure):
+                closure_ok = False
+                failures.append(
+                    "generation: odd weight space %r escapes the %s closure"
+                    % (gamma, mode)
+                )
+    generation_ok = cone_ok and closure_ok
+
+    # separation: gamma - alpha is never a root.
+    all_roots = set(datum.all_roots())
+    separation_ok = True
+    for alpha in psi_even:
+        for gamma in psi_odd_set:
+            if alpha == gamma:
+                continue
+            if lattice.sub(gamma, alpha) in all_roots:
+                separation_ok = False
+                failures.append(
+                    "separation: %r - %r is a root" % (gamma, alpha)
+                )
+
+    # multiplicity-one on shared simple roots.
+    odd_mult = {r: m for r, m in datum.odd_roots}
+    shared = [a for a in psi_even if a in psi_odd_set]
+    mult_ok = True
+    for alpha in shared:
+        for signed in (alpha, lattice.neg(alpha)):
+            if odd_mult.get(signed, 0) != 1:
+                mult_ok = False
+                failures.append(
+                    "multiplicity-one: dim of odd space %r is %d"
+                    % (signed, odd_mult.get(signed, 0))
+                )
+
+    conditions = (
+        ("generation", generation_ok),
+        ("separation", separation_ok),
+        ("multiplicity-one", mult_ok),
+    )
+    return AdmissibleBaseReport(
+        ok=generation_ok and separation_ok and mult_ok,
+        conditions=conditions,
+        failures=tuple(failures),
+        mode=mode,
+    )

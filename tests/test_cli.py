@@ -329,6 +329,59 @@ def test_malformed_request_is_a_structured_error(capsys, tmp_path, argv, error, 
     assert payload == {"error": {"type": error, "message": message}}
 
 
+@pytest.mark.parametrize(
+    "argv, error, message",
+    [
+        (["dims", "--family", "file", "--p", "3", "--r", "1", "--file",
+          {"rank": 3000000, "label": "x", "even_roots": [], "odd_roots": [], "h_odd_dim": 0}],
+         "DatumValidationError", "$.rank: must be at most 64"),
+        (["dims", "--family", "file", "--p", "3", "--r", "1", "--file",
+          _datum_with(h_odd_dim=10**6)],
+         "DatumValidationError", "$.h_odd_dim: must be at most 64"),
+        (["dims", "--family", "file", "--p", "3", "--r", "1", "--file",
+          _datum_with(odd_roots=[{"root": [1, -1], "mult": 1}, {"root": [-1, 1], "mult": 65}])],
+         "DatumValidationError", "$.odd_roots[1].mult: must be at most 64"),
+        (["dims", "--family", "file", "--p", "3", "--r", "1", "--file",
+          _datum_with(lie_handle="q(65)")],
+         "DatumValidationError", "$.lie_handle: q(65) has rank 65, above the limit of 64"),
+        (["describe", "--family", "q", "--n", "100000"],
+         "ParameterError", "q(100000) has rank 100000, above the limit of 64"),
+        (["describe", "--family", "gl", "--m", "40", "--n", "25"],
+         "ParameterError", "gl(40|25) has rank 65, above the limit of 64"),
+        (["verify-commutator", "--max-m", "100", "--max-n", "100", "--degree", "1000"],
+         "ParameterError", "the sweep would make 5115811701 comparisons, above the limit of 250000"),
+        (["verify-commutator", "--max-m", "0", "--max-n", "0", "--degree", "706"],
+         "ParameterError", "the sweep would make 250278 comparisons, above the limit of 250000"),
+        (["unimodular", "--family", "q", "--n", "2", "--p", "3317044064679887385961981", "--r", "1"],
+         "ParameterError",
+         "p must be below 3317044064679887385961981 for the primality test, "
+         "got 3317044064679887385961981"),
+    ],
+    ids=[
+        "file-rank", "file-h-odd-dim", "file-mult", "file-handle", "family-n", "family-m-n",
+        "sweep", "sweep-one-row", "prime-beyond-test",
+    ],
+)
+def test_oversized_request_is_refused_at_once(capsys, tmp_path, argv, error, message):
+    argv = [_json_file(tmp_path, tok) if isinstance(tok, dict) else tok for tok in argv]
+    code, payload = run_json(capsys, *argv)
+    assert code == 1
+    assert payload == {"error": {"type": error, "message": message}}
+
+
+def test_requests_at_the_size_limits_are_answered(capsys):
+    code, payload = run_json(capsys, "describe", "--family", "gl", "--m", "32", "--n", "32")
+    assert code == 0 and payload["rank"] == 64
+    code, payload = run_json(
+        capsys, "verify-commutator", "--max-m", "5", "--max-n", "5", "--degree", "60"
+    )
+    assert code == 0 and payload["checked"] == 68076
+    code, payload = run_json(
+        capsys, "unimodular", "--family", "q", "--n", "2", "--p", "1000000000000000003", "--r", "1"
+    )
+    assert code == 0 and payload["modulus"] == "1000000000000000003"
+
+
 def test_large_results_within_the_limit_are_decimal_strings(capsys):
     # 3^(3600 * 2) * 2^2 has 3,436 digits: under the limit, so answered.
     code, payload = run_json(
@@ -362,3 +415,20 @@ def test_unreadable_json_is_a_structured_error(capsys, tmp_path):
             "type": "ParameterError",
             "message": "a number in the JSON text has more than 4300 digits",
         }}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--family", "q", "--n=1", "--weight=--", "--p=3"],
+        ["dims", "--family", "q", "--n", "2", "--p=--", "--r", "1"],
+        ["delta", "--family", "q", "--n", "2", "--p", "3", "--r", "1", "--order=--"],
+    ],
+    ids=["weight", "p", "order"],
+)
+def test_lone_double_dash_value_is_a_usage_error(capsys, argv):
+    # argparse stores [] for "--opt=--"; that is a usage error, not a traceback.
+    with pytest.raises(SystemExit) as exc:
+        main(["--json"] + argv)
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superroot import lattice
 from superroot.lattice import DimensionMismatch, hnf, in_lattice, integer_kernel, pair
@@ -91,3 +93,33 @@ def test_hnf_canonical():
 def test_saturate():
     assert lattice.saturate([(2, 0), (0, 2)], 2) == [(1, 0), (0, 1)]
     assert lattice.saturate([(2, 4)], 2) == [(1, 2)]
+
+
+@st.composite
+def lattices_and_mixes(draw):
+    """Integer rows, and a unimodular mix of them: elementary row
+    additions and swaps, which keep the row lattice."""
+    ncols = draw(st.integers(1, 5))
+    entry = st.integers(-9, 9)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=5))
+    mixed = [list(r) for r in rows]
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), entry), max_size=8)):
+        i, j = i % len(mixed), j % len(mixed)
+        if i == j:
+            mixed[0], mixed[i] = mixed[i], mixed[0]
+        else:
+            mixed[i] = [a + c * b for a, b in zip(mixed[i], mixed[j])]
+    return rows, mixed
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattices_and_mixes())
+def test_hnf_is_canonical_on_random_lattices(case):
+    rows, mixed = case
+    form = hnf(rows)
+    assert hnf(form) == form
+    assert hnf(mixed) == form
+    for t, row in enumerate(form):
+        col = next(j for j, v in enumerate(row) if v)
+        assert row[col] > 0 and all(not v for v in row[:col])
+        assert all(0 <= above[col] < row[col] for above in form[:t])

@@ -4,11 +4,13 @@ from hypothesis import strategies as st
 
 import oracles
 from superroot import lattice
+from superroot.cli import default_psi_odd
 from superroot.liesuper import (
     EVEN,
     ODD,
     DecompositionError,
     K_alpha,
+    _coordinate_solver,
     check_admissible_base,
     eval_weight_on_cartan,
     gl_superalgebra,
@@ -18,6 +20,7 @@ from superroot.liesuper import (
     subalgebra_closure,
 )
 from superroot.rootdata import (
+    Family,
     OrderFunctional,
     ParameterError,
     build_gl,
@@ -365,3 +368,107 @@ def test_decompose_matches_dense_reference(kind, entries):
     assert _decompose_outcome(L, mat) == _decompose_outcome(ref, dense_matrix(mat, 4))
     coeffs = {i: c for i, c in enumerate(entries.values()) if c}
     assert _decompose_outcome(L, L.element_matrix(coeffs)) == coeffs
+
+
+# -- the admissible-base check against the Fraction reference ---------------
+
+RATIONAL = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+
+
+def _outcome(check, *args, **kwargs):
+    try:
+        return check(*args, **kwargs)
+    except ParameterError as exc:
+        return str(exc)
+
+
+@st.composite
+def base_requests(draw):
+    """A model, a random rational order nonzero on every root, its simple
+    even roots, and an odd base: empty, the default one, or a random set
+    of positive odd roots (independent or dependent)."""
+    kind, params = draw(st.sampled_from(MODELS))
+    datum = Family(kind, params).build()
+    values = draw(st.lists(RATIONAL, min_size=datum.rank, max_size=datum.rank))
+    order = OrderFunctional(tuple(values))
+    if any(order.eval(root) == 0 for root in datum.all_roots()):
+        order = default_order(datum)
+    odd_pos = sorted({r for r, _ in datum.odd_roots if order.eval(r) > 0})
+    shape = draw(st.sampled_from(["empty", "default", "random"]))
+    if shape == "default" and order == default_order(datum):
+        psi_odd = default_psi_odd(datum)
+    elif shape == "empty" or not odd_pos:
+        psi_odd = []
+    else:
+        psi_odd = draw(st.lists(st.sampled_from(odd_pos), min_size=1, max_size=4))
+    mode = draw(st.sampled_from(["assisted", "strict"]))
+    return datum, order, simple_even_roots(datum, order), psi_odd, mode
+
+
+@settings(max_examples=150, deadline=None)
+@given(base_requests())
+def test_admissible_check_matches_fraction_reference(request):
+    datum, order, psi_even, psi_odd, mode = request
+    L = lie_algebra_for(datum)
+    got = _outcome(check_admissible_base, L, datum, order, psi_even, psi_odd, mode=mode)
+    want = _outcome(
+        oracles.reference_check_admissible_base, L, datum, order, psi_even, psi_odd, mode=mode
+    )
+    assert got == want
+
+
+@pytest.mark.parametrize("mode", ["assisted", "strict"])
+def test_admissible_empty_base_matches_fraction_reference(mode):
+    # gl(1|1) has no even roots, so an empty odd base is an empty base.
+    datum = build_gl(1, 1)
+    L, order = lie_algebra_for(datum), default_order(datum)
+    report = check_admissible_base(L, datum, order, [], [], mode=mode)
+    assert report == oracles.reference_check_admissible_base(L, datum, order, [], [], mode=mode)
+    assert report.failures[0] == (
+        "generation: root (-1, 1) is not a signed combination of the base"
+    )
+
+
+@pytest.mark.parametrize("kind, params", MODELS, ids=lambda v: str(v))
+def test_coordinate_solver_is_chosen_from_the_base(kind, params):
+    datum = Family(kind, params).build()
+    order = default_order(datum)
+    psi_even = simple_even_roots(datum, order)
+    base = list(dict.fromkeys(psi_even + sorted(set(default_psi_odd(datum)))))
+    assert _coordinate_solver(base, datum.rank) is not None
+    assert _coordinate_solver([], datum.rank) is None
+    extra = [r for r, _ in datum.odd_roots if order.eval(r) > 0 and r not in base]
+    if extra:  # the base spans the roots, so one more root is dependent
+        assert len(lattice.hnf(base)) == len(lattice.hnf(datum.all_roots()))
+        assert _coordinate_solver(base + extra[:1], datum.rank) is None
+
+
+def test_coordinate_solver_membership():
+    # e1 - e2, e2 - e3, their sum and 2(e1 - e2) are in the cone; the
+    # negative, the mixed-sign and the out-of-span vectors are not, and
+    # neither is half of a base vector.
+    member = _coordinate_solver([(1, -1, 0), (0, 1, -1)], 3)
+    assert member((1, 0, -1)) and member((2, -2, 0)) and member((1, -1, 0))
+    assert not member((-1, 1, 0)) and not member((1, -2, 1)) and not member((1, 0, 0))
+    assert not _coordinate_solver([(2, 0)], 2)((1, 0))
+
+
+@st.composite
+def closure_requests(draw):
+    kind, params = draw(st.sampled_from(MODELS))
+    L = SPARSE[kind](*params)
+    coeff = st.one_of(st.integers(-2, 2), RATIONAL)
+    gens = draw(
+        st.lists(
+            st.dictionaries(st.integers(0, L.dim - 1), coeff, min_size=1, max_size=3),
+            max_size=3,
+        )
+    )
+    return L, gens
+
+
+@settings(max_examples=100, deadline=None)
+@given(closure_requests())
+def test_closure_matches_dense_reference(request):
+    L, gens = request
+    assert subalgebra_closure(L, gens) == oracles.dense_subalgebra_closure(L, gens)

@@ -520,3 +520,39 @@ def test_json_bools_are_not_integers(key):
     with pytest.raises(DatumValidationError, match=r"^\$\.%s: expected an integer$" % key):
         datum_from_json(dict(datum_to_json(build_q(2)), **{key: True}))
     assert not rootdata.is_json_int(True) and rootdata.is_json_int(0)
+
+
+def _trial_division_odd_prime(p):
+    if p < 3 or p % 2 == 0:
+        return False
+    d = 3
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def test_is_odd_prime_agrees_with_trial_division():
+    assert [p for p in range(10**5) if rootdata.is_odd_prime(p)] == [
+        p for p in range(10**5) if _trial_division_odd_prime(p)
+    ]
+
+
+def test_is_odd_prime_rejects_pseudoprimes():
+    # 41041 is a Carmichael number; 3215031751 is a strong pseudoprime to
+    # the bases 2, 3, 5 and 7.
+    assert not rootdata.is_odd_prime(41041)
+    assert not rootdata.is_odd_prime(3215031751)
+    assert rootdata.is_odd_prime(1000000000000000003)
+    assert not rootdata.is_odd_prime(1000000007 * 998244353)
+
+
+def test_is_odd_prime_refuses_beyond_its_limit():
+    top = rootdata.PRIME_TEST_LIMIT
+    assert not rootdata.is_odd_prime(top - 4)  # 3 * 1105681354893295795320659
+    with pytest.raises(ParameterError, match="for the primality test"):
+        rootdata.is_odd_prime(top)
+    with pytest.raises(ParameterError, match="for the primality test"):
+        rootdata.check_odd_prime(top + 2)
+    assert not rootdata.is_odd_prime(top + 1)  # even: no test needed
