@@ -51,31 +51,20 @@ def gram_form(L: LieSuperAlgebra, lam: Weight, char_p: int = 0) -> CliffordForm:
     return form
 
 
-def _rank_mod_p(gram: Tuple[Tuple[int, ...], ...], p: int) -> int:
-    rows = [[v % p for v in row] for row in gram]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                c = rows[i][col] * inv % p
-                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
 def form_rank(form: CliffordForm) -> int:
-    """Rank of the Gram matrix over the coefficient field."""
-    if not form.gram:
-        return 0
-    if form.char_p:
-        return _rank_mod_p(form.gram, form.char_p)
-    return len(lattice.hnf(form.gram))
+    """Rank of the Gram matrix over the coefficient field.  In
+    characteristic p, the HNF of the Gram rows stacked with p times the
+    identity has one pivot per column, each dividing p, and the rank is
+    the number of pivots equal to 1."""
+    p = form.char_p
+    size = len(form.gram)
+    rows = list(form.gram)
+    if p:
+        rows += [[p * (s == t) for s in range(size)] for t in range(size)]
+    echelon = lattice.hnf(rows)
+    if not p:
+        return len(echelon)
+    return sum(1 for t, row in enumerate(echelon) if row[t] == 1)
 
 
 def u_lambda_dim_closed(form: CliffordForm) -> Tuple[int, str]:

@@ -1,14 +1,15 @@
 """Exact integer arithmetic on the character lattice X(T) and its dual.
 
 Weights and coweights are plain tuples of Python ints (arbitrary
-precision).  All linear algebra here is over Z; canonical bases are
-returned in row-style Hermite normal form so that equal lattices have
-equal representations.
+precision).  All integer linear algebra of the package is :func:`hnf`,
+whose row-style Hermite normal form gives equal lattices equal bases,
+plus :func:`solve`, which reads integer coordinates off such a basis.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from itertools import compress, count
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 Weight = Tuple[int, ...]
 Coweight = Tuple[int, ...]
@@ -155,20 +156,34 @@ def saturate(rows: Sequence[Sequence[int]], rank: int) -> List[Weight]:
     return integer_kernel(ortho, rank)
 
 
-def in_lattice(vec: Sequence[int], basis: Sequence[Sequence[int]]) -> bool:
-    """Whether ``vec`` is an integer combination of the (HNF) basis rows."""
-    if not basis:
-        return not any(vec)
-    rank = len(basis[0])
-    check_rank(vec, rank)
+def solve(vec: Sequence[int], rows: Sequence[Sequence[int]]) -> Optional[Weight]:
+    """Integer coordinates y with y . rows == vec, or None when ``vec`` is
+    off the row lattice.
+
+    ``rows`` must be in echelon form, as :func:`hnf` returns them: each
+    row nonzero, with its first nonzero entry (its pivot) strictly right
+    of the previous row's; otherwise ValueError.  A row whose quotient
+    is zero is not subtracted.
+    """
+    if rows:
+        check_rank(vec, len(rows[0]))
+    pivots = [next(compress(count(), row), None) for row in rows]
+    for prev, col in zip([-1] + pivots, pivots):
+        if col is None or col <= prev:
+            raise ValueError("rows are not in echelon form")
     residue = list(vec)
-    rows = hnf(basis)
-    for row in rows:
-        col = next((j for j, v in enumerate(row) if v), None)
-        if col is None:
-            continue
-        if residue[col] % row[col] != 0:
-            return False
-        q = residue[col] // row[col]
-        residue = [a - q * b for a, b in zip(residue, row)]
-    return not any(residue)
+    coords = []
+    for row, col in zip(rows, pivots):
+        q, rem = divmod(residue[col], row[col])
+        if rem:
+            return None
+        if q:
+            residue[col:] = [a - q * b for a, b in zip(residue[col:], row[col:])]
+        coords.append(q)
+    return None if any(residue) else tuple(coords)
+
+
+def in_lattice(vec: Sequence[int], basis: Sequence[Sequence[int]]) -> bool:
+    """Whether ``vec`` is an integer combination of the basis rows, which
+    must be in echelon form as :func:`hnf` returns them (see :func:`solve`)."""
+    return solve(vec, basis) is not None

@@ -22,7 +22,6 @@ from .rootdata import (
     ParameterError,
     SuperRootDatum,
     positive_system,
-    simple_even_roots,
 )
 
 EVEN = "even"
@@ -390,45 +389,27 @@ def _coordinate_solver(
     """For a linearly independent nonempty base, a membership test of its
     nonnegative integer cone; None for a dependent or empty base.
 
-    Gauss-Jordan elimination on [B | I] finds pivot columns P with B_P
-    invertible and E = B_P^-1, scaled to integers once; a target t has
-    the unique rational coordinates x = t_P E, and lies in the cone iff
-    x is a nonnegative integer vector with x B = t (the span check).
+    hnf([B | I]) is [U B | U] with U unimodular, and the base is
+    dependent iff some row has a zero B part.  Otherwise a target t is
+    an integer combination y of the echelon rows U B iff lattice.solve
+    finds y, and then x = y U are its unique coordinates over the base,
+    so t lies in the cone iff x >= 0.
     """
     k = len(base)
     if not k:
         return None
-    rows = [
-        [Fraction(c) for c in psi] + [Fraction(int(s == t)) for s in range(k)]
-        for t, psi in enumerate(base)
-    ]
-    cols: List[int] = []
-    for t in range(k):
-        col = next((j for j in range(rank) if any(rows[i][j] for i in range(t, k))), None)
-        if col is None:
-            return None
-        i0 = next(i for i in range(t, k) if rows[i][col])
-        rows[t], rows[i0] = rows[i0], rows[t]
-        lead = rows[t][col]
-        rows[t] = [v / lead for v in rows[t]]
-        for i in range(k):
-            if i != t and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[t])]
-        cols.append(col)
-    den = math.lcm(*(v.denominator for row in rows for v in row[rank:]))
-    inverse = [[int(v * den) for v in row[rank:]] for row in rows]
+    form = lattice.hnf(
+        list(psi) + [int(s == t) for s in range(k)] for t, psi in enumerate(base)
+    )
+    if any(not any(row[:rank]) for row in form):
+        return None
+    rows = [row[:rank] for row in form]
+    unimodular = [row[rank:] for row in form]
 
     def member(target: Weight) -> bool:
-        coords = []
-        for s in range(k):
-            num = sum(target[col] * inverse[t][s] for t, col in enumerate(cols))
-            if num < 0 or num % den:
-                return False
-            coords.append(num // den)
-        return all(
-            sum(x * psi[j] for x, psi in zip(coords, base)) == target[j]
-            for j in range(rank)
+        y = lattice.solve(target, rows)
+        return y is not None and all(
+            sum(c * u[s] for c, u in zip(y, unimodular)) >= 0 for s in range(k)
         )
 
     return member
@@ -455,13 +436,13 @@ def check_admissible_base(
         raise ParameterError("mode must be 'assisted' or 'strict'")
     psi_even = sorted(tuple(w) for w in psi_even)
     psi_odd_set = sorted(set(tuple(w) for w in psi_odd))
-    expected_even = simple_even_roots(datum, order)
+    pos = positive_system(datum, order)
+    expected_even = pos.simple_even
     if psi_even != expected_even:
         raise ParameterError(
             "psi_even %r is not the simple system %r of the positive even roots"
             % (psi_even, expected_even)
         )
-    pos = positive_system(datum, order)
     odd_pos = [w for w, _ in pos.odd_pos]
     for gamma in psi_odd_set:
         if gamma not in odd_pos:

@@ -286,6 +286,14 @@ class PositiveSystem:
     def n_odd_neg(self) -> int:
         return sum(m for _, m in self.odd_neg)
 
+    @property
+    def simple_even(self) -> List[Weight]:
+        """Positive even roots that are not sums of two positive even roots."""
+        pos = {r for r, _ in self.even_pos}
+        return sorted(
+            r for r in pos if not any(lattice.sub(r, s) in pos for s in pos if s != r)
+        )
+
 
 def positive_system(datum: SuperRootDatum, order: OrderFunctional) -> PositiveSystem:
     """Split all nonzero roots by the sign of the order functional."""
@@ -306,13 +314,7 @@ def positive_system(datum: SuperRootDatum, order: OrderFunctional) -> PositiveSy
 
 def simple_even_roots(datum: SuperRootDatum, order: OrderFunctional) -> List[Weight]:
     """Positive even roots that are not sums of two positive even roots."""
-    pos = [r for r, _ in positive_system(datum, order).even_pos]
-    pos_set = set(pos)
-    simple = []
-    for r in pos:
-        if not any(lattice.sub(r, s) in pos_set for s in pos if s != r):
-            simple.append(r)
-    return sorted(simple)
+    return positive_system(datum, order).simple_even
 
 
 # ---------------------------------------------------------------------------

@@ -388,6 +388,9 @@ def steinberg_decompose(
 # ---------------------------------------------------------------------------
 # Character ring.
 
+# The most pairs of terms one char_mul may multiply.
+MAX_PRODUCT_PAIRS = 250_000
+
 
 @dataclass(frozen=True)
 class CharacterElement:
@@ -432,6 +435,12 @@ def char_add(a: CharacterElement, b: CharacterElement) -> CharacterElement:
 def char_mul(a: CharacterElement, b: CharacterElement) -> CharacterElement:
     """Convolution product: e^a * e^b = e^(a+b)."""
     _check_same_rank(a, b)
+    pairs = len(a.terms) * len(b.terms)
+    if pairs > MAX_PRODUCT_PAIRS:
+        raise ParameterError(
+            "the product would form %d pairs of terms, above the limit of %d"
+            % (pairs, MAX_PRODUCT_PAIRS)
+        )
     out: Dict[Weight, int] = {}
     for wa, ma in a.terms:
         for wb, mb in b.terms:

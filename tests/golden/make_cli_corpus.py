@@ -119,6 +119,25 @@ def requests():
         for p in ("3", "5"):
             add(["decompose", "--family", "gl", "--m", str(m), "--n", str(n), "--p", p, "--weight=" + wstr(w)])
 
+    # Admissible checks at larger ranks: both modes, the reversed default
+    # order with the default odd base and with its negation, and odd
+    # bases made linearly dependent by two more positive odd roots.
+    for kind, params in (("gl", (4, 4)), ("gl", (5, 5)), ("q", (5,)), ("p", (5,))):
+        datum = rootdata.Family(kind, params).build()
+        order = rootdata.default_order(datum)
+        flags = ["--family", kind] + (["--m", str(params[0])] if kind == "gl" else [])
+        flags += ["--n", str(params[-1])]
+        psi = cli.default_psi_odd(datum)
+        reverse = ",".join(str(v) for v in order.values[::-1])
+        extra = sorted({r for r, _ in datum.odd_roots if order.eval(r) > 0} - set(psi))
+        superset = ";".join(wstr(w) for w in psi + [extra[0], extra[-1]])
+        for mode in ("assisted", "strict"):
+            add(["admissible"] + flags + ["--mode", mode])
+            add(["admissible"] + flags + ["--mode", mode, "--psi-odd=" + superset])
+        add(["admissible"] + flags + ["--order=" + reverse])
+        negated = ";".join(wstr(tuple(-c for c in w)) for w in psi)
+        add(["admissible"] + flags + ["--order=" + reverse, "--psi-odd=" + negated])
+
     # A datum with no built-in family: default order, no default odd base.
     semi = rootdata.build_semidirect(rootdata.build_gl_even(2), [(1, 1), (1, 1), (0, 0)])
     text = json.dumps(rootdata.datum_to_json(semi))

@@ -12,7 +12,11 @@ build gl(m|n), q(n) and p(n) from dense N x N matrices, as the library
 did before it stored only their nonzero entries.  The reference
 admissible-base check decides cone membership by the Fraction-valued DFS
 on every base and closes subalgebras over dense Fraction rows, as the
-library did before it scaled the order functional to integers.
+library did before it scaled the order functional to integers.  The
+elimination references are the routines that ``lattice.hnf`` and
+``lattice.solve`` replaced: membership by reducing against a fresh HNF,
+the Fraction Gauss-Jordan coordinate solver, and Gaussian elimination
+mod p for the rank of a Gram form.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 import os
 import random
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from superroot import lattice
 from superroot.liesuper import (
@@ -1065,3 +1069,96 @@ def reference_check_admissible_base(
         failures=tuple(failures),
         mode=mode,
     )
+
+
+# ---------------------------------------------------------------------------
+# The elimination routines as they were before lattice.hnf and
+# lattice.solve became the only integer linear algebra of the package.
+
+
+def hnf_in_lattice(vec: Sequence[int], basis: Sequence[Sequence[int]]) -> bool:
+    """Whether ``vec`` is an integer combination of the (HNF) basis rows."""
+    if not basis:
+        return not any(vec)
+    rank = len(basis[0])
+    lattice.check_rank(vec, rank)
+    residue = list(vec)
+    rows = lattice.hnf(basis)
+    for row in rows:
+        col = next((j for j, v in enumerate(row) if v), None)
+        if col is None:
+            continue
+        if residue[col] % row[col] != 0:
+            return False
+        q = residue[col] // row[col]
+        residue = [a - q * b for a, b in zip(residue, row)]
+    return not any(residue)
+
+
+def fraction_coordinate_solver(
+    base: Sequence[Weight], rank: int
+) -> Optional[Callable[[Weight], bool]]:
+    """For a linearly independent nonempty base, a membership test of its
+    nonnegative integer cone; None for a dependent or empty base.
+
+    Gauss-Jordan elimination on [B | I] finds pivot columns P with B_P
+    invertible and E = B_P^-1, scaled to integers once; a target t has
+    the unique rational coordinates x = t_P E, and lies in the cone iff
+    x is a nonnegative integer vector with x B = t (the span check).
+    """
+    k = len(base)
+    if not k:
+        return None
+    rows = [
+        [Fraction(c) for c in psi] + [Fraction(int(s == t)) for s in range(k)]
+        for t, psi in enumerate(base)
+    ]
+    cols: List[int] = []
+    for t in range(k):
+        col = next((j for j in range(rank) if any(rows[i][j] for i in range(t, k))), None)
+        if col is None:
+            return None
+        i0 = next(i for i in range(t, k) if rows[i][col])
+        rows[t], rows[i0] = rows[i0], rows[t]
+        lead = rows[t][col]
+        rows[t] = [v / lead for v in rows[t]]
+        for i in range(k):
+            if i != t and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [a - c * b for a, b in zip(rows[i], rows[t])]
+        cols.append(col)
+    den = math.lcm(*(v.denominator for row in rows for v in row[rank:]))
+    inverse = [[int(v * den) for v in row[rank:]] for row in rows]
+
+    def member(target: Weight) -> bool:
+        coords = []
+        for s in range(k):
+            num = sum(target[col] * inverse[t][s] for t, col in enumerate(cols))
+            if num < 0 or num % den:
+                return False
+            coords.append(num // den)
+        return all(
+            sum(x * psi[j] for x, psi in zip(coords, base)) == target[j]
+            for j in range(rank)
+        )
+
+    return member
+
+
+
+def rank_mod_p(gram: Tuple[Tuple[int, ...], ...], p: int) -> int:
+    rows = [[v % p for v in row] for row in gram]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                c = rows[i][col] * inv % p
+                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank

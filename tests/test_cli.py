@@ -273,6 +273,11 @@ def _datum_with(**changes):
     return dict(datum_to_json(build_q(2)), **changes)
 
 
+def _line_char(n):
+    """Character JSON with the n rank-1 terms e^0, ..., e^(n-1)."""
+    return json.dumps({"terms": [{"weight": [w], "mult": 1} for w in range(n)]})
+
+
 @pytest.mark.parametrize(
     "argv, error, message",
     [
@@ -356,10 +361,14 @@ def test_malformed_request_is_a_structured_error(capsys, tmp_path, argv, error, 
          "ParameterError",
          "p must be below 3317044064679887385961981 for the primality test, "
          "got 3317044064679887385961981"),
+        (["char", "--op", "mul", "--a", _line_char(501), "--b", _line_char(501)],
+         "ParameterError", "the product would form 251001 pairs of terms, above the limit of 250000"),
+        (["char", "--op", "steinberg", "--p", "3", "--inputs", _line_char(2000), _line_char(2000)],
+         "ParameterError", "the product would form 4000000 pairs of terms, above the limit of 250000"),
     ],
     ids=[
         "file-rank", "file-h-odd-dim", "file-mult", "file-handle", "family-n", "family-m-n",
-        "sweep", "sweep-one-row", "prime-beyond-test",
+        "sweep", "sweep-one-row", "prime-beyond-test", "char-mul", "char-steinberg",
     ],
 )
 def test_oversized_request_is_refused_at_once(capsys, tmp_path, argv, error, message):
@@ -380,6 +389,10 @@ def test_requests_at_the_size_limits_are_answered(capsys):
         capsys, "unimodular", "--family", "q", "--n", "2", "--p", "1000000000000000003", "--r", "1"
     )
     assert code == 0 and payload["modulus"] == "1000000000000000003"
+    code, payload = run_json(
+        capsys, "char", "--op", "mul", "--a", _line_char(500), "--b", _line_char(500)
+    )
+    assert code == 0 and len(payload["terms"]) == 999
 
 
 def test_large_results_within_the_limit_are_decimal_strings(capsys):

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superroot.clifford import (
     CliffordForm,
@@ -12,7 +14,7 @@ from superroot.clifford import (
 from superroot.liesuper import gl_superalgebra, q_superalgebra
 from superroot.rootdata import ParameterError, build_gl, build_p, build_q
 
-from oracles import RationalField, clifford_simple_dim
+from oracles import RationalField, clifford_simple_dim, rank_mod_p
 
 
 def diag_form(entries, char_p=0):
@@ -83,6 +85,35 @@ def test_rank_mod_p_drops():
     f = diag_form([3, 1], char_p=3)
     assert form_rank(f) == 1
     assert u_lambda_dim_closed(f) == (2, "Q")
+
+
+# A prime above every minor of the matrices drawn below (at most 8 x 8,
+# entries at most 72 in absolute value), so rank mod it is rank over Q.
+BIG_PRIME = 2**89 - 1
+
+
+@st.composite
+def square_matrices(draw):
+    """Square integer matrices up to 8 x 8: random entries, or a product
+    X Y through a smaller inner size, so that the rank drops."""
+    n = draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        entry = st.integers(-6, 6)
+        return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    k = draw(st.integers(0, max(n - 1, 0)))
+    entry = st.integers(-3, 3)
+    x = [draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(n)]
+    y = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(k)]
+    return [[sum(x[i][t] * y[t][j] for t in range(k)) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(square_matrices(), st.sampled_from([0, 3, 5, 7]))
+def test_form_rank_matches_elimination_mod_p(rows, char_p):
+    gram = tuple(tuple(row) for row in rows)
+    form = CliffordForm(gram, (0,), char_p)
+    want = rank_mod_p(gram, char_p or BIG_PRIME) if gram else 0
+    assert form_rank(form) == want
 
 
 def test_oracle_small_forms():

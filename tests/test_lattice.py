@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superroot import lattice
-from superroot.lattice import DimensionMismatch, hnf, in_lattice, integer_kernel, pair
+from superroot.lattice import DimensionMismatch, hnf, in_lattice, integer_kernel, pair, solve
 
-from oracles import kernel_box_vectors
+from oracles import hnf_in_lattice, kernel_box_vectors
 
 
 def test_pair_worked_example():
@@ -123,3 +123,59 @@ def test_hnf_is_canonical_on_random_lattices(case):
         col = next(j for j, v in enumerate(row) if v)
         assert row[col] > 0 and all(not v for v in row[:col])
         assert all(0 <= above[col] < row[col] for above in form[:t])
+
+
+@st.composite
+def echelon_and_vectors(draw):
+    """HNF rows, integer coordinates y of the same length, and a vector
+    near y . H (a unit step off it, or none)."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.integers(-6, 6)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+    form = hnf(rows)
+    y = tuple(draw(st.lists(st.integers(-5, 5), min_size=len(form), max_size=len(form))))
+    vec = [sum(c * row[j] for c, row in zip(y, form)) for j in range(ncols)]
+    step = draw(st.integers(-1, ncols - 1))
+    off = list(vec)
+    if step >= 0:
+        off[step] += draw(st.sampled_from([-1, 1]))
+    return form, y, vec, off
+
+
+@settings(max_examples=500, deadline=None)
+@given(echelon_and_vectors())
+def test_solve_round_trips_and_matches_the_hnf_reference(case):
+    form, y, vec, off = case
+    assert solve(vec, form) == y
+    assert in_lattice(vec, form)
+    got = solve(off, form)
+    assert in_lattice(off, form) == (got is not None) == hnf_in_lattice(off, form)
+    if got is not None:
+        assert [sum(c * row[j] for c, row in zip(got, form)) for j in range(len(off))] == off
+
+
+def test_solve_off_the_lattice():
+    assert solve((1, 0), [(2, 0), (0, 1)]) is None
+    assert solve((0, 0, 1), [(1, 1, 0)]) is None
+    assert solve((3, 5), [(1, 2), (0, 3)]) is None
+    assert solve((3, 3), [(1, 2), (0, 3)]) == (3, -1)
+    assert solve((0, 0), []) == () and solve((1, 0), []) is None
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(0, 1), (1, 0)],
+        [(1, 0), (1, 1)],
+        [(1, 2), (0, 0)],
+        [(0, 0, 1), (0, 2, 0)],
+    ],
+)
+def test_solve_refuses_rows_out_of_echelon_form(rows):
+    with pytest.raises(ValueError):
+        solve((0,) * len(rows[0]), rows)
+
+
+def test_solve_checks_the_length():
+    with pytest.raises(DimensionMismatch):
+        solve((1, 2, 3), [(1, 0)])

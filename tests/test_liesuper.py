@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from superroot import lattice
+from superroot import lattice, liesuper, rootdata
 from superroot.cli import default_psi_odd
 from superroot.liesuper import (
     EVEN,
@@ -451,6 +451,80 @@ def test_coordinate_solver_membership():
     assert member((1, 0, -1)) and member((2, -2, 0)) and member((1, -1, 0))
     assert not member((-1, 1, 0)) and not member((1, -2, 1)) and not member((1, 0, 0))
     assert not _coordinate_solver([(2, 0)], 2)((1, 0))
+
+
+@st.composite
+def cone_requests(draw):
+    """A base of up to four vectors, with dependent, repeated, zero and
+    non-primitive ones among them, and targets: integer combinations of
+    the base with coefficients in [-2, 3], unit steps off them, and
+    vectors in a box."""
+    rank = draw(st.integers(1, 5))
+    vector = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
+    base = []
+    for v in draw(st.lists(vector, max_size=4)):
+        c = draw(st.sampled_from([1, 1, 2, 3]))
+        base.append(tuple(c * a for a in v))
+    if len(base) >= 2 and draw(st.booleans()):
+        base.append(lattice.add(base[0], base[1]))
+    targets = draw(st.lists(vector.map(tuple), max_size=4))
+    for _ in range(draw(st.integers(0, 6))):
+        coeffs = draw(st.lists(st.integers(-2, 3), min_size=len(base), max_size=len(base)))
+        t = [sum(c * psi[j] for c, psi in zip(coeffs, base)) for j in range(rank)]
+        targets.append(tuple(t))
+        t[draw(st.integers(0, rank - 1))] += draw(st.sampled_from([-1, 1]))
+        targets.append(tuple(t))
+    return base, rank, targets
+
+
+@settings(max_examples=400, deadline=None)
+@given(cone_requests())
+def test_coordinate_solver_matches_fraction_reference(request):
+    base, rank, targets = request
+    got = _coordinate_solver(base, rank)
+    want = oracles.fraction_coordinate_solver(base, rank)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert [got(t) for t in targets] == [want(t) for t in targets]
+
+
+def _count_calls(monkeypatch, module_attrs):
+    """Wrap module functions so that every call is counted once."""
+    calls = []
+    real = getattr(*module_attrs[0])
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module, attr in module_attrs:
+        monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_gl_check_calls_hnf_three_times(monkeypatch, k):
+    # One hnf for the coordinate solver and two for the saturation of
+    # the closure; in_lattice reads the closure's HNF as it is.
+    datum = build_gl(k, k)
+    L, order = lie_algebra_for(datum), default_order(datum)
+    psi_even = simple_even_roots(datum, order)
+    calls = _count_calls(monkeypatch, [(lattice, "hnf")])
+    report = check_admissible_base(L, datum, order, psi_even, default_psi_odd(datum))
+    assert report.ok
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("kind, params", MODELS, ids=lambda v: str(v))
+def test_admissible_check_splits_the_roots_once(monkeypatch, kind, params):
+    datum = Family(kind, params).build()
+    L, order = lie_algebra_for(datum), default_order(datum)
+    psi_even = simple_even_roots(datum, order)
+    calls = _count_calls(
+        monkeypatch, [(rootdata, "positive_system"), (liesuper, "positive_system")]
+    )
+    check_admissible_base(L, datum, order, psi_even, default_psi_odd(datum))
+    assert len(calls) == 1
 
 
 @st.composite
