@@ -170,11 +170,18 @@ def cmd_dims(args) -> dict:
     }
 
 
-def cmd_admissible(args) -> dict:
+def base_setup(args):
+    """Datum, order, Lie model and base, built in that order so the first
+    bad input is the one reported."""
     datum = build_datum(args)
     order = get_order(args, datum)
     L = liesuper.lie_algebra_for(datum)
     psi_even, psi_odd = get_psi(args, datum, order)
+    return datum, L, order, psi_even, psi_odd
+
+
+def cmd_admissible(args) -> dict:
+    datum, L, order, psi_even, psi_odd = base_setup(args)
     report = liesuper.check_admissible_base(
         L, datum, order, psi_even, psi_odd, mode=args.mode
     )
@@ -189,12 +196,8 @@ def cmd_admissible(args) -> dict:
 
 
 def cmd_restricted(args) -> dict:
-    datum = build_datum(args)
-    order = get_order(args, datum)
-    L = liesuper.lie_algebra_for(datum)
-    psi_even, psi_odd = get_psi(args, datum, order)
     report = steinberg.is_restricted(
-        datum, L, order, psi_even, psi_odd, parse_weight(args.weight), args.p, args.r
+        *base_setup(args), parse_weight(args.weight), args.p, args.r
     )
     return {
         "verdict": report.verdict,
@@ -214,27 +217,17 @@ def cmd_restricted(args) -> dict:
 
 
 def cmd_decompose(args) -> dict:
-    datum = build_datum(args)
-    order = get_order(args, datum)
-    L = liesuper.lie_algebra_for(datum)
-    psi_even, psi_odd = get_psi(args, datum, order)
     digits = steinberg.steinberg_decompose(
-        datum,
-        L,
-        order,
-        psi_even,
-        psi_odd,
-        parse_weight(args.weight),
-        args.p,
-        radius=args.radius,
+        *base_setup(args), parse_weight(args.weight), args.p, radius=args.radius
     )
     return {"digits": [list(d) for d in digits], "p": args.p}
 
 
 def cmd_flatcheck(args) -> dict:
     datum = build_datum(args)
-    flat = steinberg.is_flat(datum, args.p, parse_weight(args.weight))
-    return {"flat": flat, "weight": list(parse_weight(args.weight)), "p": args.p}
+    weight = parse_weight(args.weight)
+    flat = steinberg.is_flat(datum, args.p, weight)
+    return {"flat": flat, "weight": list(weight), "p": args.p}
 
 
 def cmd_char(args) -> dict:

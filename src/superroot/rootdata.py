@@ -257,10 +257,16 @@ class OrderFunctional:
             )
         return sum((v * c for v, c in zip(self.values, w)), Fraction(0))
 
+    def is_positive(self, root: Weight) -> bool:
+        """Whether the functional is positive on a root; raises where it vanishes."""
+        value = self.eval(root)
+        if value == 0:
+            raise InvalidOrderError("order functional vanishes on root %r" % (root,))
+        return value > 0
+
     def validate(self, datum: SuperRootDatum) -> None:
         for root in datum.all_roots():
-            if self.eval(root) == 0:
-                raise InvalidOrderError("order functional vanishes on root %r" % (root,))
+            self.is_positive(root)
 
 
 def default_order(datum: SuperRootDatum) -> OrderFunctional:
@@ -296,13 +302,13 @@ class PositiveSystem:
 
 
 def positive_system(datum: SuperRootDatum, order: OrderFunctional) -> PositiveSystem:
-    """Split all nonzero roots by the sign of the order functional."""
-    order.validate(datum)
+    """Split all nonzero roots, even roots first, by the sign of the order
+    functional; raises at the first root where it vanishes."""
     even_pos, even_neg, odd_pos, odd_neg = [], [], [], []
     for root, _ in datum.even_roots:
-        (even_pos if order.eval(root) > 0 else even_neg).append((root, 1))
+        (even_pos if order.is_positive(root) else even_neg).append((root, 1))
     for root, mult in datum.odd_roots:
-        (odd_pos if order.eval(root) > 0 else odd_neg).append((root, mult))
+        (odd_pos if order.is_positive(root) else odd_neg).append((root, mult))
     key = lambda pair: pair[0]
     return PositiveSystem(
         tuple(sorted(even_pos, key=key)),

@@ -15,9 +15,8 @@ whose every candidate digit failed.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import lattice
 from .lattice import Weight
@@ -157,30 +156,65 @@ def _restriction_rows(
     ]
 
 
-def _bound(
-    lam: Weight, kvec: Optional[Weight], p: int, q: int
-) -> Tuple[Optional[int], int]:
-    """lam(K_alpha) (None off the odd base) and the bound on lam's pairing
-    with the coroot: q = p^r when p does not divide lam(K_alpha), else q - 1."""
-    if kvec is None:
-        return None, q - 1
-    kval = lattice.pair(lam, kvec)
-    return kval, q - 1 if kval % p == 0 else q
+def _root_checks(
+    lam: Weight, rows: Sequence[Tuple[Weight, Weight, Optional[Weight]]], p: int, q: int
+) -> Iterator[Tuple[int, Optional[int], int, bool]]:
+    """Lazily, per restriction row: lam's pairing with the coroot,
+    lam(K_alpha) (None off the odd base), the bound on the pairing (q = p^r
+    when p does not divide lam(K_alpha), else q - 1) and whether the
+    pairing is within it."""
+    for _alpha, coroot, kvec in rows:
+        pairing = lattice.pair(lam, coroot)
+        kval = None if kvec is None else lattice.pair(lam, kvec)
+        bound = q if kval is not None and kval % p else q - 1
+        yield pairing, kval, bound, pairing <= bound
 
 
-def _check_admissible(
+def _restriction_setup(
     datum: SuperRootDatum,
     L: LieSuperAlgebra,
     order: OrderFunctional,
     psi_even: Sequence[Weight],
     psi_odd: Sequence[Weight],
-) -> None:
-    report = check_admissible_base(L, datum, order, psi_even, psi_odd)
-    if not report.ok:
-        raise ParameterError(
-            "(psi_even, psi_odd) is not an admissible base: %s"
-            % "; ".join(report.failures)
+    lam: Weight,
+    p: int,
+    validate_base: bool,
+) -> Tuple[bool, Callable[[], Callable[[Weight], bool]], List[Tuple]]:
+    """Checks lam's rank, the base (when ``validate_base``) and lam's
+    precondition: flatness for families with a flat rule (gl, q), else
+    dominance.  Returns whether the precondition is dominance, a builder
+    of that precondition as a test on further weights (a builder, so
+    that is_restricted, which tests no further weight, splits the roots
+    no more often than it must), and the restriction rows."""
+    lattice.check_rank(lam, datum.rank)
+    if validate_base:
+        report = check_admissible_base(L, datum, order, psi_even, psi_odd)
+        if not report.ok:
+            raise ParameterError(
+                "(psi_even, psi_odd) is not an admissible base: %s"
+                % "; ".join(report.failures)
+            )
+    weakened = not _has_flat_rule(datum)
+    if weakened:
+        lam_ok = is_dominant(datum, order, lam)
+
+        def precondition() -> Callable[[Weight], bool]:
+            # The positive even coroots, split once for every weight tested.
+            coroots = _positive_even_coroots(datum, order)
+            return lambda w: _pairs_nonnegative(w, coroots)
+
+    else:
+        lam_ok = is_flat(datum, p, lam)
+
+        def precondition() -> Callable[[Weight], bool]:
+            return lambda w: is_flat(datum, p, w)
+
+    if not lam_ok:
+        raise FlatnessError(
+            "weight %r fails the %s precondition"
+            % (lam, "dominance" if weakened else "flatness")
         )
+    return weakened, precondition, _restriction_rows(datum, L, psi_even, psi_odd)
 
 
 def is_restricted(
@@ -203,26 +237,18 @@ def is_restricted(
     check_odd_prime(p)
     check_positive(r)
     q = prime_power(p, r)
-    lattice.check_rank(lam, datum.rank)
-    if validate_base:
-        _check_admissible(datum, L, order, psi_even, psi_odd)
-    weakened = not _has_flat_rule(datum)
-    if not (is_dominant(datum, order, lam) if weakened else is_flat(datum, p, lam)):
-        raise FlatnessError(
-            "weight %r fails the %s precondition"
-            % (lam, "dominance" if weakened else "flatness")
-        )
-    checks: List[PerRootCheck] = []
-    for alpha, coroot, kvec in _restriction_rows(datum, L, psi_even, psi_odd):
-        pairing = lattice.pair(lam, coroot)
-        kval, bound = _bound(lam, kvec, p, q)
-        kind = "even-only" if kvec is None else "shared"
-        checks.append(PerRootCheck(alpha, kind, pairing, kval, bound, pairing <= bound))
+    weakened, _precondition, rows = _restriction_setup(
+        datum, L, order, psi_even, psi_odd, lam, p, validate_base
+    )
+    checks = tuple(
+        PerRootCheck(alpha, "even-only" if kvec is None else "shared", *check)
+        for (alpha, _coroot, kvec), check in zip(rows, _root_checks(lam, rows, p, q))
+    )
     return RestrictionReport(
         weight=tuple(lam),
         p=p,
         r=r,
-        per_root=tuple(checks),
+        per_root=checks,
         verdict=all(c.ok for c in checks),
         weakened=weakened,
     )
@@ -230,25 +256,6 @@ def is_restricted(
 
 # ---------------------------------------------------------------------------
 # Digit decomposition.
-
-
-def _search_radius(radius: Optional[int]) -> int:
-    """The explicit radius, else ``SUPERROOT_SEARCH_RADIUS``, else 2."""
-    source = "radius"
-    if radius is None:
-        source = "SUPERROOT_SEARCH_RADIUS"
-        env = os.environ.get(source)
-        if not env:
-            return 2
-        try:
-            radius = int(env)
-        except ValueError:
-            raise ParameterError(
-                "%s must be an integer >= 0, got %r" % (source, env)
-            ) from None
-    if radius < 0:
-        raise ParameterError("%s must be >= 0, got %d" % (source, radius))
-    return radius
 
 
 def _shifts(windows: Sequence[Tuple[int, int]]) -> Iterator[Tuple[int, ...]]:
@@ -288,7 +295,6 @@ def steinberg_decompose(
     lam: Weight,
     p: int,
     radius: Optional[int] = None,
-    max_digits: Optional[int] = None,
     validate_base: bool = True,
 ) -> List[Weight]:
     """Write ``lam`` as digit_0 + p*digit_1 + ... with every digit
@@ -296,39 +302,25 @@ def steinberg_decompose(
 
     Digits are congruent to the running weight mod p coordinatewise; the
     first complete decomposition in the canonical-first search order is
-    returned and trailing zero digits are dropped.  Raises
-    :class:`ParameterError` for a negative radius and
+    returned and trailing zero digits are dropped.  ``radius=None`` means
+    2.  Raises :class:`ParameterError` for a negative radius and
     :class:`DecompositionFailure` when the bounded search is exhausted.
     """
     check_odd_prime(p)
-    radius = _search_radius(radius)
-    lattice.check_rank(lam, datum.rank)
-    if validate_base:
-        _check_admissible(datum, L, order, psi_even, psi_odd)
-    if _has_flat_rule(datum):
-        lam_ok = is_flat(datum, p, lam)
-
-        def passes_flat(w: Weight) -> bool:
-            return is_flat(datum, p, w)
-
-    else:
-        # The positive even coroots, split once for every candidate.
-        lam_ok = is_dominant(datum, order, lam)
-        coroots = _positive_even_coroots(datum, order)
-
-        def passes_flat(w: Weight) -> bool:
-            return _pairs_nonnegative(w, coroots)
-
-    if not lam_ok:
-        raise FlatnessError("weight %r fails the flatness precondition" % (lam,))
-    rows = _restriction_rows(datum, L, psi_even, psi_odd)
-    if max_digits is None:
-        top = max((abs(c) for c in lam), default=0)
-        max_digits = 3
-        q = 1
-        while q <= top:
-            q *= p
-            max_digits += 1
+    if radius is None:
+        radius = 2
+    elif radius < 0:
+        raise ParameterError("radius must be >= 0, got %d" % radius)
+    _weakened, precondition, rows = _restriction_setup(
+        datum, L, order, psi_even, psi_odd, lam, p, validate_base
+    )
+    passes_flat = precondition()
+    top = max((abs(c) for c in lam), default=0)
+    max_digits = 3
+    q = 1
+    while q <= top:
+        q *= p
+        max_digits += 1
     frontier: List[Weight] = []
     dead: Dict[Tuple[Weight, int], bool] = {}
 
@@ -358,10 +350,7 @@ def steinberg_decompose(
             digit = tuple(res + p * k for res, k in zip(residues, shift))
             if not passes_flat(digit):
                 continue
-            if any(
-                lattice.pair(digit, coroot) > _bound(digit, kvec, p, p)[1]
-                for _a, coroot, kvec in rows
-            ):
+            if not all(check[-1] for check in _root_checks(digit, rows, p, p)):
                 continue
             nxt = tuple(b - k for b, k in zip(base, shift))
             if not passes_flat(nxt):
@@ -479,11 +468,11 @@ def upsilon_leading(
     """The unique term of maximal order value; raises on ties or zero."""
     if not ch.terms:
         raise ParameterError("zero character has no leading term")
-    best = max(ch.terms, key=lambda t: order.eval(t[0]))
-    ties = [t for t in ch.terms if order.eval(t[0]) == order.eval(best[0])]
-    if len(ties) != 1:
+    values = [order.eval(w) for w, _ in ch.terms]
+    top = max(values)
+    if values.count(top) != 1:
         raise ParameterError("leading term is not unique")
-    return best
+    return ch.terms[values.index(top)]
 
 
 def char_to_json(ch: CharacterElement) -> dict:

@@ -179,7 +179,6 @@ def requests():
 
 
 def main() -> None:
-    os.environ.pop("SUPERROOT_SEARCH_RADIUS", None)
     entries = []
     for argv, files in requests():
         code, stdout = run(argv, files)

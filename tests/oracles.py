@@ -22,7 +22,6 @@ mod p for the rank of a Gram form.
 from __future__ import annotations
 
 import math
-import os
 import random
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -48,7 +47,6 @@ from superroot.rootdata import (
 from superroot.steinberg import (
     DecompositionFailure,
     FlatnessError,
-    _bound,
     _has_flat_rule,
     _restriction_rows,
     is_flat,
@@ -545,8 +543,18 @@ def kernel_box_vectors(covs, rank: int, radius: int = 3):
 # This is the digit search as it was before shifts were generated lazily:
 # the whole (2R+1)^rank box is built and sorted by (L1 size, lex) on every
 # call, every shift is tried, and the remainder test rejects the ones that
-# do not approach zero.  The per-digit predicates (flatness, restriction
-# rows and bounds) are the library's own; only the search is the reference.
+# do not approach zero.  The per-digit predicates (flatness and restriction
+# rows) are the library's own; the search and the bound rule, as it was
+# written before the restriction checks shared one rule, are the reference.
+
+
+def _reference_bound(lam, kvec, p, q):
+    """lam(K_alpha) (None off the odd base) and the bound on lam's pairing
+    with the coroot: q = p^r when p does not divide lam(K_alpha), else q - 1."""
+    if kvec is None:
+        return None, q - 1
+    kval = lattice.pair(lam, kvec)
+    return kval, q - 1 if kval % p == 0 else q
 
 
 def _reference_is_dominant(datum, order, lam) -> bool:
@@ -560,13 +568,6 @@ def _reference_is_dominant(datum, order, lam) -> bool:
     return True
 
 
-def _reference_search_radius(radius):
-    if radius is not None:
-        return radius
-    env = os.environ.get("SUPERROOT_SEARCH_RADIUS")
-    return int(env) if env else 2
-
-
 def shift_boxes(rank: int, radius: int) -> List[Tuple[int, ...]]:
     """Every shift in [-radius, radius]^rank, by L1 size and then lex."""
     shifts = [()]
@@ -577,8 +578,7 @@ def shift_boxes(rank: int, radius: int) -> List[Tuple[int, ...]]:
 
 
 def reference_decompose(
-    datum, L, order, psi_even, psi_odd, lam, p, radius=None, max_digits=None,
-    validate_base=True,
+    datum, L, order, psi_even, psi_odd, lam, p, radius=None, validate_base=True,
 ):
     """``steinberg_decompose`` over the eager shift box; same signature,
     same digits, same exception types and messages."""
@@ -597,18 +597,20 @@ def reference_decompose(
         return _reference_is_dominant(datum, order, w) if weakened else is_flat(datum, p, w)
 
     if not passes_flat(lam):
-        raise FlatnessError("weight %r fails the flatness precondition" % (lam,))
+        raise FlatnessError(
+            "weight %r fails the %s precondition"
+            % (lam, "dominance" if weakened else "flatness")
+        )
     rows = _restriction_rows(datum, L, psi_even, psi_odd)
 
-    radius = _reference_search_radius(radius)
+    radius = 2 if radius is None else radius
     shifts = shift_boxes(datum.rank, radius)
-    if max_digits is None:
-        top = max((abs(c) for c in lam), default=0)
-        max_digits = 3
-        q = 1
-        while q <= top:
-            q *= p
-            max_digits += 1
+    top = max((abs(c) for c in lam), default=0)
+    max_digits = 3
+    q = 1
+    while q <= top:
+        q *= p
+        max_digits += 1
     frontier: List[Weight] = []
     dead: Dict[Tuple[Weight, int], bool] = {}
 
@@ -631,7 +633,7 @@ def reference_decompose(
             if not passes_flat(digit):
                 continue
             if any(
-                lattice.pair(digit, coroot) > _bound(digit, kvec, p, p)[1]
+                lattice.pair(digit, coroot) > _reference_bound(digit, kvec, p, p)[1]
                 for _a, coroot, kvec in rows
             ):
                 continue

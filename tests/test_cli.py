@@ -52,10 +52,13 @@ def test_decompose_gl11(capsys):
 
 @pytest.mark.parametrize("radius, env, message", [
     ("-1", None, "radius must be >= 0, got -1"),
-    (None, "-2", "SUPERROOT_SEARCH_RADIUS must be >= 0, got -2"),
-    (None, "abc", "SUPERROOT_SEARCH_RADIUS must be an integer >= 0, got 'abc'"),
-], ids=["flag-negative", "env-negative", "env-not-an-integer"])
+    (None, "-2", None),
+    (None, "abc", None),
+    (None, "0", None),
+], ids=["flag-negative", "env-negative", "env-not-an-integer", "env-zero"])
 def test_decompose_bad_radius_is_a_parameter_error(capsys, monkeypatch, radius, env, message):
+    # Only --radius sets the radius; SUPERROOT_SEARCH_RADIUS (message None),
+    # well-formed or not, is ignored and the default radius 2 answers.
     if env is None:
         monkeypatch.delenv("SUPERROOT_SEARCH_RADIUS", raising=False)
     else:
@@ -64,6 +67,10 @@ def test_decompose_bad_radius_is_a_parameter_error(capsys, monkeypatch, radius, 
     if radius is not None:
         argv += ["--radius", radius]
     code, payload = run_json(capsys, *argv)
+    if message is None:
+        assert code == 0
+        assert payload == {"digits": [[1, 1], [1, -1]], "p": 3}
+        return
     assert code == 1
     assert payload == {"error": {"type": "ParameterError", "message": message}}
 

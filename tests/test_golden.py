@@ -10,8 +10,7 @@ from superroot.cli import main
 CORPUS = os.path.join(os.path.dirname(__file__), "golden", "cli.json")
 
 
-def test_golden_cli_corpus(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("SUPERROOT_SEARCH_RADIUS", raising=False)
+def test_golden_cli_corpus(capsys, tmp_path):
     with open(CORPUS, encoding="utf-8") as fh:
         entries = json.load(fh)["entries"]
     assert len(entries) > 250

@@ -178,6 +178,32 @@ def test_simple_even_roots_gl():
 # -- unimodularity ----------------------------------------------------------
 
 
+@pytest.mark.parametrize("values", [[-1, -2, -3], [3, 1, 2], [1, 1, 2], [1, 2, 2], [0, 0, 0]])
+def test_positive_system_evaluates_each_root_once(monkeypatch, values):
+    # The vanishing check and the split share one value per root, and a
+    # vanishing order is reported at the same first root as validate() names.
+    d = build_gl(2, 1)
+    order = OrderFunctional.from_values(values)
+    try:
+        order.validate(d)
+        expected = None
+    except InvalidOrderError as exc:
+        expected = str(exc)
+    seen = []
+    real_eval = OrderFunctional.eval
+    monkeypatch.setattr(
+        OrderFunctional, "eval", lambda self, w: seen.append(w) or real_eval(self, w)
+    )
+    if expected is None:
+        positive_system(d, order)
+        assert seen == d.all_roots()
+    else:
+        with pytest.raises(InvalidOrderError) as err:
+            positive_system(d, order)
+        assert str(err.value) == expected
+        assert len(seen) == len(set(seen))
+
+
 def test_odd_root_sum_vanishes_for_gl_and_q():
     for m in range(1, 5):
         for n in range(1, 5):

@@ -273,27 +273,36 @@ def test_decompose_failure_carries_frontier():
 
 
 def test_decompose_env_radius(monkeypatch):
+    # The radius comes from the argument only: SUPERROOT_SEARCH_RADIUS,
+    # which the search once read when radius was None, changes nothing.
     d, L, order, pe, po = GL11
-    monkeypatch.setenv("SUPERROOT_SEARCH_RADIUS", "0")
-    with pytest.raises(DecompositionFailure):
-        steinberg_decompose(d, L, order, pe, po, (0, -2), 3)
-    monkeypatch.setenv("SUPERROOT_SEARCH_RADIUS", "2")
-    assert steinberg_decompose(d, L, order, pe, po, (0, -2), 3) == [(0, 1), (0, -1)]
+    for env in ("0", "abc"):
+        monkeypatch.setenv("SUPERROOT_SEARCH_RADIUS", env)
+        assert steinberg_decompose(d, L, order, pe, po, (4, -2), 3) == [(1, 1), (1, -1)]
+        assert steinberg_decompose(d, L, order, pe, po, (0, -2), 3) == [(0, 1), (0, -1)]
+        with pytest.raises(DecompositionFailure):
+            steinberg_decompose(d, L, order, pe, po, (0, -2), 3, radius=0)
 
 
 @pytest.mark.parametrize("radius, env, message", [
     (-1, None, "radius must be >= 0, got -1"),
     (-3, "2", "radius must be >= 0, got -3"),
-    (None, "-1", "SUPERROOT_SEARCH_RADIUS must be >= 0, got -1"),
-    (None, "abc", "SUPERROOT_SEARCH_RADIUS must be an integer >= 0, got 'abc'"),
-    (None, "1.5", "SUPERROOT_SEARCH_RADIUS must be an integer >= 0, got '1.5'"),
+    (None, "-1", None),
+    (None, "abc", None),
+    (None, "1.5", None),
 ], ids=["arg-negative", "arg-over-env", "env-negative", "env-word", "env-fraction"])
 def test_decompose_rejects_bad_radius(monkeypatch, radius, env, message):
+    # Only the argument sets the radius; a malformed SUPERROOT_SEARCH_RADIUS
+    # (message None) is ignored and the default radius 2 answers.
     d, L, order, pe, po = GL11
     if env is None:
         monkeypatch.delenv("SUPERROOT_SEARCH_RADIUS", raising=False)
     else:
         monkeypatch.setenv("SUPERROOT_SEARCH_RADIUS", env)
+    if message is None:
+        got = steinberg_decompose(d, L, order, pe, po, (4, -2), 3, radius=radius)
+        assert got == [(1, 1), (1, -1)]
+        return
     with pytest.raises(ParameterError) as err:
         steinberg_decompose(d, L, order, pe, po, (4, -2), 3, radius=radius)
     assert str(err.value) == message
@@ -303,6 +312,24 @@ def test_decompose_rejects_nonflat():
     d, L, order, pe, po = Q2
     with pytest.raises(FlatnessError):
         steinberg_decompose(d, L, order, pe, po, (0, 1), 3)
+
+
+def test_restricted_and_decompose_name_the_same_precondition():
+    # One set-up checks the weight for both: flatness where the family has
+    # a flat rule (gl, q), dominance otherwise (p).
+    cases = [
+        (GL21, (0, 1, 0), "flatness"),
+        (Q2, (0, 1), "flatness"),
+        (setup_family(build_p(2), default_psi_odd(build_p(2))), (0, 1), "dominance"),
+    ]
+    for (d, L, order, pe, po), lam, rule in cases:
+        message = "weight %r fails the %s precondition" % (lam, rule)
+        with pytest.raises(FlatnessError) as err:
+            is_restricted(d, L, order, pe, po, lam, 3, 1)
+        assert str(err.value) == message
+        with pytest.raises(FlatnessError) as err:
+            steinberg_decompose(d, L, order, pe, po, lam, 3)
+        assert str(err.value) == message
 
 
 def test_decompose_radius_extends_reach():
@@ -404,6 +431,36 @@ def test_decompose_matches_eager_reference(index, coords, flat, p, radius):
     assert got == _traced_outcome(reference_decompose, model, lam, p, radius)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(range(len(DIFFERENTIAL))),
+    st.lists(st.integers(-30, 30), min_size=5, max_size=5),
+    st.sampled_from([3, 5, 7]),
+    st.integers(1, 2),
+)
+def test_restricted_matches_reference_bound(index, coords, p, r):
+    # Each per-root entry is the pairing with the coroot and the bound rule
+    # written out as the reference has it; the verdict is their conjunction.
+    d, L, order, pe, po = DIFFERENTIAL[index]
+    lam = tuple(coords[: d.rank])
+    cut = d.family.params[0] if d.family.kind == "gl" else d.rank
+    lam = tuple(sorted(lam[:cut], reverse=True)) + tuple(sorted(lam[cut:], reverse=True))
+    try:
+        report = is_restricted(d, L, order, pe, po, lam, p, r, validate_base=False)
+    except FlatnessError:
+        return
+    rows = steinberg._restriction_rows(d, L, pe, po)
+    assert len(report.per_root) == len(rows)
+    for check, (alpha, coroot, kvec) in zip(report.per_root, rows):
+        kval, bound = oracles._reference_bound(lam, kvec, p, p**r)
+        pairing = lattice.pair(lam, coroot)
+        assert check == steinberg.PerRootCheck(
+            alpha, "even-only" if kvec is None else "shared", pairing, kval, bound,
+            pairing <= bound,
+        )
+    assert report.verdict == all(c.ok for c in report.per_root)
+
+
 # -- character ring ----------------------------------------------------------------
 
 
@@ -483,6 +540,19 @@ def test_upsilon_leading():
     with pytest.raises(ParameterError):
         # (2,0) and (0,1) both evaluate to -2: a genuine tie
         upsilon_leading(char_add(e(2, 0), e(0, 1)), order)
+
+
+def test_upsilon_leading_evaluates_each_term_once(monkeypatch):
+    order = OrderFunctional.from_values([-1, -2])
+    ch = CharacterElement.from_dict(2, {(k, -k): k + 1 for k in range(50)})
+    seen = []
+    real_eval = OrderFunctional.eval
+    monkeypatch.setattr(
+        OrderFunctional, "eval", lambda self, w: seen.append(w) or real_eval(self, w)
+    )
+    # eval(k, -k) = k, so the last term leads.
+    assert upsilon_leading(ch, order) == ((49, -49), 50)
+    assert sorted(seen) == sorted(w for w, _ in ch.terms)
 
 
 def test_char_json_round_trip():
