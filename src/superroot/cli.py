@@ -76,7 +76,7 @@ def build_datum(args) -> rootdata.SuperRootDatum:
 
 
 def get_order(args, datum: rootdata.SuperRootDatum) -> rootdata.OrderFunctional:
-    if getattr(args, "order", None):
+    if args.order:
         order = rootdata.OrderFunctional.from_values(args.order.split(","))
     else:
         order = rootdata.default_order(datum)
@@ -267,12 +267,16 @@ def cmd_verify_commutator(args) -> dict:
 # Argument wiring.
 
 
-def _add_family_flags(sub) -> None:
+def _add_family_flags(sub, order: bool = False) -> None:
+    """The family flags, and ``--order`` for the verbs that read it."""
     sub.add_argument("--family", required=True, choices=["gl", "q", "p", "file"])
     sub.add_argument("--m", type=int)
     sub.add_argument("--n", type=int)
     sub.add_argument("--file")
-    sub.add_argument("--order", help="comma-separated rationals for the order functional")
+    if order:
+        sub.add_argument(
+            "--order", help="comma-separated rationals for the order functional"
+        )
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -298,7 +302,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub.set_defaults(fn=cmd_frobenius)
 
     sub = subs.add_parser("delta", help="torus weight of the ind/coind twist")
-    _add_family_flags(sub)
+    _add_family_flags(sub, order=True)
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--r", type=int, required=True)
     sub.set_defaults(fn=cmd_delta)
@@ -310,13 +314,13 @@ def make_parser() -> argparse.ArgumentParser:
     sub.set_defaults(fn=cmd_dims)
 
     sub = subs.add_parser("admissible", help="check an admissible base")
-    _add_family_flags(sub)
+    _add_family_flags(sub, order=True)
     sub.add_argument("--psi-odd", dest="psi_odd", help="odd base roots, ';'-separated")
     sub.add_argument("--mode", choices=["assisted", "strict"], default="assisted")
     sub.set_defaults(fn=cmd_admissible)
 
     sub = subs.add_parser("restricted", help="p^r-restriction report for a weight")
-    _add_family_flags(sub)
+    _add_family_flags(sub, order=True)
     sub.add_argument("--psi-odd", dest="psi_odd")
     sub.add_argument("--weight", required=True)
     sub.add_argument("--p", type=int, required=True)
@@ -324,7 +328,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub.set_defaults(fn=cmd_restricted)
 
     sub = subs.add_parser("decompose", help="base-p digit decomposition of a weight")
-    _add_family_flags(sub)
+    _add_family_flags(sub, order=True)
     sub.add_argument("--psi-odd", dest="psi_odd")
     sub.add_argument("--weight", required=True)
     sub.add_argument("--p", type=int, required=True)

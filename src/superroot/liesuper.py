@@ -18,6 +18,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 from . import lattice
 from .lattice import Weight
 from .rootdata import (
+    Family,
     OrderFunctional,
     ParameterError,
     SuperRootDatum,
@@ -182,82 +183,76 @@ class LieSuperAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# Concrete families.
+# Concrete families: one torus-grading rule.  Row a of a model matrix
+# carries the weight rows[a], the entry (a, b) has weight rows[a] - rows[b],
+# and a basis element has the weight of its first entry.
+
+
+def _units(rank: int, sign: int = 1) -> List[Weight]:
+    return [tuple(sign * (k == a) for k in range(rank)) for a in range(rank)]
+
+
+def _model(
+    family: Family,
+    rows: Sequence[Weight],
+    basis: Iterable[Tuple[str, str, Mapping[Entry, int]]],
+) -> LieSuperAlgebra:
+    """The model of ``family`` on the basis (parity, name, entries)."""
+    elements: List[BasisElement] = []
+    for index, (parity, name, entries) in enumerate(basis):
+        mat = _matrix(entries)
+        (a, b), _v = mat[0]
+        weight = lattice.sub(rows[a], rows[b])
+        elements.append(BasisElement(index, parity, weight, mat, name))
+    return LieSuperAlgebra(str(family), len(rows[0]), len(rows), elements)
+
+
+def _name(letter: str, i: int, j: int, diagonal: str = "") -> str:
+    if i == j and diagonal:
+        return "%s_%d" % (diagonal, i + 1)
+    return "%s[%d,%d]" % (letter, i + 1, j + 1)
 
 
 def gl_superalgebra(m: int, n: int) -> LieSuperAlgebra:
     if m < 1 or n < 1:
         raise ParameterError("gl(m|n) requires m, n >= 1")
     size = m + n
-    basis: List[BasisElement] = []
-    odd: List[Tuple[str, Weight, Matrix]] = []
-    for i in range(size):
-        for j in range(size):
-            mat = _matrix({(i, j): 1})
-            weight = lattice.unit_difference(size, i, j)
-            same_block = (i < m) == (j < m)
-            if same_block:
-                name = "H_%d" % (i + 1) if i == j else "X[%d,%d]" % (i + 1, j + 1)
-                basis.append(BasisElement(len(basis), EVEN, weight, mat, name))
-            else:
-                odd.append(("Y[%d,%d]" % (i + 1, j + 1), weight, mat))
-    for name, weight, mat in odd:
-        basis.append(BasisElement(len(basis), ODD, weight, mat, name))
-    return LieSuperAlgebra("gl(%d|%d)" % (m, n), size, size, basis)
+    cells = [(i, j) for i in range(size) for j in range(size)]
+    basis = [
+        (EVEN, _name("X", i, j, "H"), {(i, j): 1}) for i, j in cells if (i < m) == (j < m)
+    ]
+    basis += [(ODD, _name("Y", i, j), {(i, j): 1}) for i, j in cells if (i < m) != (j < m)]
+    return _model(Family("gl", (m, n)), _units(size), basis)
 
 
 def q_superalgebra(n: int) -> LieSuperAlgebra:
     if n < 1:
         raise ParameterError("q(n) requires n >= 1")
-    size = 2 * n
-    basis: List[BasisElement] = []
-    for i in range(n):
-        for j in range(n):
-            mat = _matrix({(i, j): 1, (n + i, n + j): 1})
-            name = "H_%d" % (i + 1) if i == j else "X[%d,%d]" % (i + 1, j + 1)
-            weight = lattice.unit_difference(n, i, j)
-            basis.append(BasisElement(len(basis), EVEN, weight, mat, name))
-    for i in range(n):
-        for j in range(n):
-            mat = _matrix({(i, n + j): 1, (n + i, j): 1})
-            name = "K_%d" % (i + 1) if i == j else "Y[%d,%d]" % (i + 1, j + 1)
-            weight = lattice.unit_difference(n, i, j)
-            basis.append(BasisElement(len(basis), ODD, weight, mat, name))
-    return LieSuperAlgebra("q(%d)" % n, n, size, basis)
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    basis = [
+        (EVEN, _name("X", i, j, "H"), {(i, j): 1, (n + i, n + j): 1}) for i, j in cells
+    ]
+    basis += [
+        (ODD, _name("Y", i, j, "K"), {(i, n + j): 1, (n + i, j): 1}) for i, j in cells
+    ]
+    return _model(Family("q", (n,)), _units(n) * 2, basis)
 
 
 def p_superalgebra(n: int) -> LieSuperAlgebra:
     if n < 2:
         raise ParameterError("p(n) requires n >= 2")
-    size = 2 * n
-    basis: List[BasisElement] = []
-    for i in range(n):
-        for j in range(n):
-            mat = _matrix({(i, j): 1, (n + j, n + i): -1})
-            name = "H_%d" % (i + 1) if i == j else "X[%d,%d]" % (i + 1, j + 1)
-            weight = lattice.unit_difference(n, i, j)
-            basis.append(BasisElement(len(basis), EVEN, weight, mat, name))
-    # symmetric block: weights li + lj (diagonal gives 2*li)
-    for i in range(n):
-        for j in range(i, n):
-            mat = _matrix({(i, n + j): 1, (j, n + i): 1})
-            weight = tuple(
-                (1 if k == i else 0) + (1 if k == j else 0) for k in range(n)
-            )
-            basis.append(
-                BasisElement(len(basis), ODD, weight, mat, "B[%d,%d]" % (i + 1, j + 1))
-            )
-    # antisymmetric block: weights -(li + lj), i < j
-    for i in range(n):
-        for j in range(i + 1, n):
-            mat = _matrix({(n + i, j): 1, (n + j, i): -1})
-            weight = tuple(
-                -(1 if k == i else 0) - (1 if k == j else 0) for k in range(n)
-            )
-            basis.append(
-                BasisElement(len(basis), ODD, weight, mat, "C[%d,%d]" % (i + 1, j + 1))
-            )
-    return LieSuperAlgebra("p(%d)" % n, n, size, basis)
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    basis = [
+        (EVEN, _name("X", i, j, "H"), {(i, j): 1, (n + j, n + i): -1}) for i, j in cells
+    ]
+    # the symmetric odd block B (i <= j), then the antisymmetric one C (i < j)
+    basis += [
+        (ODD, _name("B", i, j), {(i, n + j): 1, (j, n + i): 1}) for i, j in cells if i <= j
+    ]
+    basis += [
+        (ODD, _name("C", i, j), {(n + i, j): 1, (n + j, i): -1}) for i, j in cells if i < j
+    ]
+    return _model(Family("p", (n,)), _units(n) + _units(n, -1), basis)
 
 
 def lie_algebra_for(datum: SuperRootDatum) -> LieSuperAlgebra:

@@ -88,9 +88,9 @@ def check_characteristic(p: int, name: str = "p") -> None:
         raise ParameterError("%s must be 0 or an odd prime, got %r" % (name, p))
 
 
-def check_positive(r: int, name: str = "r") -> None:
+def check_positive(r: int) -> None:
     if r < 1:
-        raise ParameterError("%s must be >= 1, got %r" % (name, r))
+        raise ParameterError("r must be >= 1, got %r" % (r,))
 
 
 def prime_power(p: int, r: int) -> int:
@@ -101,6 +101,14 @@ def prime_power(p: int, r: int) -> int:
             "%d**%d exceeds the %d-bit limit on p**r" % (p, r, MAX_POWER_BITS)
         )
     return p**r
+
+
+def frobenius_modulus(p: int, r: int) -> int:
+    """The modulus p**r cutting out the r-th Frobenius kernel: p must be
+    an odd prime and r >= 1, checked in that order before the power."""
+    check_odd_prime(p)
+    check_positive(r)
+    return prime_power(p, r)
 
 
 _FAMILY_TEXT = re.compile(r"(gl|q|p)\(([1-9][0-9]{0,8})(?:\|([1-9][0-9]{0,8}))?\)")
@@ -442,10 +450,8 @@ def is_unimodular_char0(datum: SuperRootDatum) -> UnimodularityReport:
 
 def is_frobenius_unimodular(datum: SuperRootDatum, p: int, r: int) -> UnimodularityReport:
     """Divisibility of every coordinate of the odd-root sum by p^r."""
-    check_odd_prime(p)
-    check_positive(r)
+    q = frobenius_modulus(p, r)
     total = odd_root_sum(datum)
-    q = prime_power(p, r)
     per = tuple((i, v, v % q == 0) for i, v in enumerate(total))
     return UnimodularityReport(total, per, all(ok for _, _, ok in per), q)
 
@@ -459,9 +465,7 @@ def delta_r(
     datum: SuperRootDatum, order: OrderFunctional, p: int, r: int
 ) -> Weight:
     """Torus restriction of the character measuring ind/coind asymmetry."""
-    check_odd_prime(p)
-    check_positive(r)
-    q = prime_power(p, r)
+    q = frobenius_modulus(p, r)
     pos = positive_system(datum, order)
     total = lattice.zero(datum.rank)
     for root, _ in pos.even_pos:
@@ -473,9 +477,7 @@ def delta_r(
 
 def dim_O_Gr(datum: SuperRootDatum, p: int, r: int) -> int:
     """Dimension of the coordinate superalgebra of the r-th Frobenius kernel."""
-    check_odd_prime(p)
-    check_positive(r)
-    return prime_power(p, r) ** datum.n_even * 2**datum.n_odd
+    return frobenius_modulus(p, r) ** datum.n_even * 2**datum.n_odd
 
 
 def pbw_monomial_count(datum: SuperRootDatum, p: int, r: int) -> int:
@@ -485,9 +487,7 @@ def pbw_monomial_count(datum: SuperRootDatum, p: int, r: int) -> int:
     each Cartan generator, 2 for every odd basis vector.  Must agree
     with :func:`dim_O_Gr` by duality.
     """
-    check_odd_prime(p)
-    check_positive(r)
-    q = prime_power(p, r)
+    q = frobenius_modulus(p, r)
     count = 1
     for _root, _cov in datum.even_roots:
         count *= q
@@ -508,11 +508,9 @@ def induced_dims(
 ) -> Tuple[int, int]:
     """Dimensions of the induced and coinduced modules from a seed of
     dimension ``dim_u_lambda``."""
-    check_odd_prime(p)
-    check_positive(r)
+    q = frobenius_modulus(p, r)
     if dim_u_lambda < 0:
         raise ParameterError("dim_u_lambda must be nonnegative")
-    q = prime_power(p, r)
     pos = positive_system(datum, order)
     dim_ind = q ** len(pos.even_pos) * 2**pos.n_odd_pos * dim_u_lambda
     dim_coind = q ** len(pos.even_neg) * 2**pos.n_odd_neg * dim_u_lambda

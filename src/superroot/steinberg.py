@@ -27,7 +27,7 @@ from .rootdata import (
     SuperRootDatum,
     check_characteristic,
     check_odd_prime,
-    check_positive,
+    frobenius_modulus,
     is_json_int,
     positive_system,
     prime_power,
@@ -234,9 +234,7 @@ def is_restricted(
     with the odd base are bounded by p^r when p does not divide the
     weight's value on [K_alpha, K_alpha], and by p^r - 1 otherwise.
     """
-    check_odd_prime(p)
-    check_positive(r)
-    q = prime_power(p, r)
+    q = frobenius_modulus(p, r)
     weakened, _precondition, rows = _restriction_setup(
         datum, L, order, psi_even, psi_odd, lam, p, validate_base
     )

@@ -1,4 +1,7 @@
 import json
+import os
+import re
+import shlex
 
 import pytest
 
@@ -452,3 +455,54 @@ def test_lone_double_dash_value_is_a_usage_error(capsys, argv):
         main(["--json"] + argv)
     assert exc.value.code == 2
     assert "expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["describe", "--family", "gl", "--m", "1", "--n", "1"],
+        ["unimodular", "--family", "p", "--n", "2", "--p", "3", "--r", "1"],
+        ["frobenius", "--family", "p", "--n", "3"],
+        ["dims", "--family", "q", "--n", "2", "--p", "3", "--r", "1"],
+        ["flatcheck", "--family", "q", "--n", "2", "--p", "3", "--weight", "1,1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_order_is_a_usage_error_where_it_is_not_read(capsys, argv):
+    assert main(["--json"] + argv) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--json"] + argv + ["--order", "1/0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --order" in capsys.readouterr().err
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def readme_cli_examples():
+    """Each ``superroot ...`` command of README's sh block, continuations
+    joined, with the comment line that follows it (or None)."""
+    with open(README, encoding="utf-8") as fh:
+        block = re.search(r"```sh\n(superroot .*?)```", fh.read(), re.S)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [
+        (line, nxt[2:] if nxt.startswith("# ") else None)
+        for line, nxt in zip(lines, lines[1:] + [""])
+        if line.startswith("superroot ")
+    ]
+
+
+def test_readme_cli_examples_run(capsys):
+    examples = readme_cli_examples()
+    assert len(examples) == 10
+    exact = 0
+    for line, comment in examples:
+        argv = shlex.split(line)[1:]
+        assert main(argv) == 0, line
+        out = capsys.readouterr().out
+        verb = next(tok for tok in argv if not tok.startswith("-"))
+        if verb in ("dims", "decompose"):  # their comments are complete
+            assert out == comment + "\n", line
+            exact += 1
+    assert exact == 2

@@ -87,17 +87,17 @@ def test_char_from_json_answers_or_refuses(data):
 
 # -- main(argv) ---------------------------------------------------------------
 
-# The options each family verb takes besides the family flags and --order;
-# the required ones first.
+# The options each family verb takes besides the family flags; the
+# required ones first.
 FAMILY_VERBS = {
     "describe": (0, ()),
     "frobenius": (0, ()),
     "unimodular": (0, ("--p", "--r")),
-    "delta": (2, ("--p", "--r")),
+    "delta": (2, ("--p", "--r", "--order")),
     "dims": (2, ("--p", "--r")),
-    "admissible": (0, ("--psi-odd", "--mode")),
-    "restricted": (3, ("--weight", "--p", "--r", "--psi-odd")),
-    "decompose": (2, ("--weight", "--p", "--psi-odd", "--radius")),
+    "admissible": (0, ("--psi-odd", "--mode", "--order")),
+    "restricted": (3, ("--weight", "--p", "--r", "--psi-odd", "--order")),
+    "decompose": (2, ("--weight", "--p", "--psi-odd", "--radius", "--order")),
     "flatcheck": (2, ("--weight", "--p")),
 }
 NUMBERS = st.sampled_from(["-1", "0", "1", "2", "3", "5", "9", "3000", "100000000"])
@@ -150,8 +150,8 @@ def requests(draw):
             "--psi-odd": weight | GARBAGE,
             "--radius": SIZES,
             "--mode": st.sampled_from(["assisted", "strict"]),
+            "--order": ORDERS,
         }
-        option("--order", ORDERS)
         required, flags = FAMILY_VERBS[verb]
         for k, flag in enumerate(flags):
             option(flag, values[flag], likely=k < required)

@@ -145,16 +145,6 @@ def test_super_skew_symmetry(L):
             assert not any(combined.values())
 
 
-def test_weight_grading_q3():
-    L = q_superalgebra(3)
-    for t in L.even_cartan():
-        for x in L.basis:
-            got = L.bracket(t, x)
-            expect = eval_weight_on_cartan(L, x.weight, t)
-            target = {x.index: expect} if expect else {}
-            assert got == target
-
-
 # -- closure ----------------------------------------------------------------
 
 
@@ -328,6 +318,19 @@ def dense_matrix(mat, size):
     for (i, j), v in mat:
         rows[i][j] += v
     return tuple(tuple(row) for row in rows)
+
+
+@pytest.mark.parametrize("kind, params", MODELS, ids=lambda v: str(v))
+def test_weight_grading(kind, params):
+    # [H, x] = x.weight(H) x on the even Cartan, read from the brackets
+    # alone, independently of the dense reference.
+    L = SPARSE[kind](*params)
+    for t in L.even_cartan():
+        for x in L.basis:
+            got = L.bracket(t, x)
+            expect = eval_weight_on_cartan(L, x.weight, t)
+            target = {x.index: expect} if expect else {}
+            assert got == target
 
 
 @pytest.mark.parametrize("kind, params", MODELS, ids=lambda v: str(v))

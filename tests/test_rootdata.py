@@ -517,6 +517,15 @@ def test_the_cli_catches_the_base_class():
     assert not hasattr(cli, "DOMAIN_ERRORS")
 
 
+def _is_restricted_q2(p, r):
+    q2 = build_q(2)
+    order = default_order(q2)
+    psi = simple_even_roots(q2, order)
+    return steinberg.is_restricted(
+        q2, liesuper.lie_algebra_for(q2), order, psi, psi, (1, -2), p, r
+    )
+
+
 def test_prime_power_is_bounded_before_it_is_computed():
     top = rootdata.MAX_POWER_BITS // 2  # 3 has bit length 2
     assert rootdata.prime_power(3, top) == 3**top
@@ -529,10 +538,37 @@ def test_prime_power_is_bounded_before_it_is_computed():
         lambda r: dim_O_Gr(build_q(2), 3, r),
         lambda r: pbw_monomial_count(build_q(2), 3, r),
         lambda r: induced_dims(build_q(2), default_order(build_q(2)), 3, r, 1),
+        lambda r: _is_restricted_q2(3, r),
         lambda r: steinberg.frobenius_twist(steinberg.CharacterElement.monomial((1, 0)), 3, r),
     ):
         with pytest.raises(ParameterError, match="-bit limit on p"):
             call(10**12)
+
+
+# Every caller whose modulus p**r cuts out the Frobenius kernel G_r.
+FROBENIUS_KERNEL_CALLERS = {
+    "is_frobenius_unimodular": lambda p, r: is_frobenius_unimodular(build_q(2), p, r),
+    "delta_r": lambda p, r: delta_r(build_q(2), default_order(build_q(2)), p, r),
+    "dim_O_Gr": lambda p, r: dim_O_Gr(build_q(2), p, r),
+    "pbw_monomial_count": lambda p, r: pbw_monomial_count(build_q(2), p, r),
+    "induced_dims": lambda p, r: induced_dims(build_q(2), default_order(build_q(2)), p, r, 1),
+    "is_restricted": _is_restricted_q2,
+}
+
+
+@pytest.mark.parametrize(
+    "p, r, message",
+    [
+        (4, 1, "p must be an odd prime, got 4"),
+        (3, 0, "r must be >= 1, got 0"),
+        (4, 0, "p must be an odd prime, got 4"),
+    ],
+    ids=["p", "r", "p-before-r"],
+)
+@pytest.mark.parametrize("caller", sorted(FROBENIUS_KERNEL_CALLERS))
+def test_frobenius_kernel_callers_check_p_then_r(caller, p, r, message):
+    with pytest.raises(ParameterError, match="^%s$" % message):
+        FROBENIUS_KERNEL_CALLERS[caller](p, r)
 
 
 @pytest.mark.parametrize("bad", ["1/0", "a", "", "1.5.2", float("inf"), float("nan")])
