@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from . import lattice
 from .lattice import Weight
@@ -27,6 +27,7 @@ from .rootdata import (
 
 EVEN = "even"
 ODD = "odd"
+MIXED = "mixed"
 
 Entry = Tuple[int, int]
 Matrix = Tuple[Tuple[Entry, int], ...]
@@ -72,17 +73,30 @@ class LieSuperAlgebra:
         self.basis = basis
         self.dim = len(basis)
         # Every basis entry's owner; the first entry of each is its anchor.
+        # The basis is also indexed by the rows and by the columns it uses.
         self._owner: Dict[Entry, int] = {}
+        by_row: Dict[int, List[int]] = {}
+        by_col: Dict[int, List[int]] = {}
         for b in basis:
             if not b.matrix:
                 raise ValueError("zero basis matrix")
-            for ij, _v in b.matrix:
-                if ij in self._owner:
+            for (i, j), _v in b.matrix:
+                if (i, j) in self._owner:
                     raise ValueError("basis supports are not disjoint")
-                self._owner[ij] = b.index
+                self._owner[(i, j)] = b.index
+                by_row.setdefault(i, []).append(b.index)
+                by_col.setdefault(j, []).append(b.index)
+        # x·y is nonzero only where a column of x meets a row of y, so x is
+        # bracketed only with the y sharing such an index in either order,
+        # in ascending index: the table keeps the all-pairs (x, y) order.
         self.bracket_table: Dict[Tuple[int, int], Element] = {}
         for x in basis:
-            for y in basis:
+            partners: Set[int] = set()
+            for (i, j), _v in x.matrix:
+                partners.update(by_row.get(j, ()))
+                partners.update(by_col.get(i, ()))
+            for index in sorted(partners):
+                y = basis[index]
                 mat = super_commutator(x.matrix, y.matrix, x.parity, y.parity)
                 coeffs = self.decompose(mat)
                 if coeffs:
@@ -133,7 +147,7 @@ class LieSuperAlgebra:
         if not parities:
             return None
         if len(parities) > 1:
-            return "mixed"
+            return MIXED
         return parities.pop()
 
     # -- bracket --------------------------------------------------------
@@ -216,18 +230,20 @@ def _name(letter: str, i: int, j: int, diagonal: str = "") -> str:
 def gl_superalgebra(m: int, n: int) -> LieSuperAlgebra:
     if m < 1 or n < 1:
         raise ParameterError("gl(m|n) requires m, n >= 1")
+    family = Family("gl", (m, n)).within_limit()
     size = m + n
     cells = [(i, j) for i in range(size) for j in range(size)]
     basis = [
         (EVEN, _name("X", i, j, "H"), {(i, j): 1}) for i, j in cells if (i < m) == (j < m)
     ]
     basis += [(ODD, _name("Y", i, j), {(i, j): 1}) for i, j in cells if (i < m) != (j < m)]
-    return _model(Family("gl", (m, n)), _units(size), basis)
+    return _model(family, _units(size), basis)
 
 
 def q_superalgebra(n: int) -> LieSuperAlgebra:
     if n < 1:
         raise ParameterError("q(n) requires n >= 1")
+    family = Family("q", (n,)).within_limit()
     cells = [(i, j) for i in range(n) for j in range(n)]
     basis = [
         (EVEN, _name("X", i, j, "H"), {(i, j): 1, (n + i, n + j): 1}) for i, j in cells
@@ -235,12 +251,13 @@ def q_superalgebra(n: int) -> LieSuperAlgebra:
     basis += [
         (ODD, _name("Y", i, j, "K"), {(i, n + j): 1, (n + i, j): 1}) for i, j in cells
     ]
-    return _model(Family("q", (n,)), _units(n) * 2, basis)
+    return _model(family, _units(n) * 2, basis)
 
 
 def p_superalgebra(n: int) -> LieSuperAlgebra:
     if n < 2:
         raise ParameterError("p(n) requires n >= 2")
+    family = Family("p", (n,)).within_limit()
     cells = [(i, j) for i in range(n) for j in range(n)]
     basis = [
         (EVEN, _name("X", i, j, "H"), {(i, j): 1, (n + j, n + i): -1}) for i, j in cells
@@ -252,7 +269,7 @@ def p_superalgebra(n: int) -> LieSuperAlgebra:
     basis += [
         (ODD, _name("C", i, j), {(n + i, j): 1, (n + j, i): -1}) for i, j in cells if i < j
     ]
-    return _model(Family("p", (n,)), _units(n) + _units(n, -1), basis)
+    return _model(family, _units(n) + _units(n, -1), basis)
 
 
 def lie_algebra_for(datum: SuperRootDatum) -> LieSuperAlgebra:
@@ -308,20 +325,25 @@ def subalgebra_closure(
         pivot_rows[piv] = row
         return True
 
-    frontier: List[Element] = []
-    for g in generators:
-        vec = L.as_element(g)
+    # Elements with whether they are homogeneous.  For homogeneous u and
+    # v, [v, u] = -+[u, v] lies in the span of [u, v], so only [u, v] is
+    # formed; a pair with a mixed element is bracketed in both orders.
+    frontier: List[Tuple[Element, bool]] = []
+
+    def add(vec: Element, to: List[Tuple[Element, bool]]) -> None:
         if insert(vec):
-            frontier.append(vec)
+            to.append((vec, L.parity_of(vec) != MIXED))
+
+    for g in generators:
+        add(L.as_element(g), frontier)
     members = list(frontier)
     while frontier:
-        new_frontier: List[Element] = []
-        for u in frontier:
-            for v in members:
-                for a, b in ((u, v), (v, u)):
-                    vec = L.bracket(a, b)
-                    if insert(vec):
-                        new_frontier.append(vec)
+        new_frontier: List[Tuple[Element, bool]] = []
+        for u, homogeneous_u in frontier:
+            for v, homogeneous_v in members:
+                add(L.bracket(u, v), new_frontier)
+                if not (homogeneous_u and homogeneous_v):
+                    add(L.bracket(v, u), new_frontier)
         members.extend(new_frontier)
         frontier = new_frontier
     int_rows = []
@@ -458,8 +480,9 @@ def check_admissible_base(
     solve = _coordinate_solver(base, datum.rank)
     psis = [(psi, value(psi)) for psi in base]
     memo: Dict[Weight, bool] = {}
+    all_roots = set(datum.all_roots())
     cone_ok = True
-    for root in sorted(set(datum.all_roots())):
+    for root in sorted(all_roots):
         signed = root if value(root) > 0 else lattice.neg(root)
         if solve is not None:
             member = solve(signed)
@@ -494,7 +517,6 @@ def check_admissible_base(
     generation_ok = cone_ok and closure_ok
 
     # separation: gamma - alpha is never a root.
-    all_roots = set(datum.all_roots())
     separation_ok = True
     for alpha in psi_even:
         for gamma in psi_odd_set:

@@ -155,10 +155,15 @@ class Family:
         (n,) = self.params
         return n, n * (n - 1), n * n if self.kind == "p" else n * (n - 1)
 
-    def build(self) -> "SuperRootDatum":
-        """The family's datum; a rank above MAX_RANK is refused first."""
+    def within_limit(self) -> "Family":
+        """This family; a rank above MAX_RANK raises ParameterError."""
         if self.rank > MAX_RANK:
             raise ParameterError(self.too_large())
+        return self
+
+    def build(self) -> "SuperRootDatum":
+        """The family's datum; a rank above MAX_RANK is refused first."""
+        self.within_limit()
         return {"gl": build_gl, "q": build_q, "p": build_p}[self.kind](*self.params)
 
 

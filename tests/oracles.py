@@ -9,7 +9,9 @@ entries in {0, +-1, +-2}).  The digit-search reference keeps the
 library's per-digit predicates and replaces only the search order's
 implementation, by the eager sorted shift box.  The dense Lie models
 build gl(m|n), q(n) and p(n) from dense N x N matrices, as the library
-did before it stored only their nonzero entries.  The reference
+did before it stored only their nonzero entries, and the all-pairs table
+brackets every ordered pair of basis elements, as the library did before
+it paired only elements sharing a row or column index.  The reference
 admissible-base check decides cone membership by the Fraction-valued DFS
 on every base and closes subalgebras over dense Fraction rows, as the
 library did before it scaled the order functional to integers.  The
@@ -35,6 +37,7 @@ from superroot.liesuper import (
     DecompositionError,
     LieSuperAlgebra,
     check_admissible_base,
+    super_commutator,
 )
 from superroot.rootdata import (
     OrderFunctional,
@@ -655,6 +658,24 @@ def reference_decompose(
     while digits and lattice.is_zero(digits[-1]):
         digits.pop()
     return digits
+
+
+# ---------------------------------------------------------------------------
+# The bracket table as it was built before the basis was indexed by rows
+# and columns: one commutator per ordered pair of basis elements.
+
+
+def all_pairs_bracket_table(L: LieSuperAlgebra) -> Dict[Tuple[int, int], Dict[int, int]]:
+    """The bracket table of the sparse model ``L`` from all dim^2 ordered
+    pairs of basis elements."""
+    table: Dict[Tuple[int, int], Dict[int, int]] = {}
+    for x in L.basis:
+        for y in L.basis:
+            mat = super_commutator(x.matrix, y.matrix, x.parity, y.parity)
+            coeffs = L.decompose(mat)
+            if coeffs:
+                table[(x.index, y.index)] = coeffs
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,56 @@ def test_bracket_table_matches_dense_reference(kind, params):
         assert dense_matrix(L.element_matrix(coeffs), L.size) == ref.element_matrix(coeffs)
 
 
+LARGER = [("gl", (5, 4)), ("gl", (1, 6)), ("gl", (6, 2)), ("q", (6,)), ("p", (6,))]
+
+
+@pytest.mark.parametrize("kind, params", LARGER, ids=lambda v: str(v))
+def test_bracket_table_matches_all_pairs_reference(kind, params):
+    # Models too large for the dense reference: the table from shared
+    # row/column indices against the one from all dim^2 pairs, in order.
+    L = SPARSE[kind](*params)
+    assert [(k, list(v.items())) for k, v in L.bracket_table.items()] == [
+        (k, list(v.items())) for k, v in oracles.all_pairs_bracket_table(L).items()
+    ]
+
+
+SCALING = [("gl", (k, k)) for k in range(1, 7)]
+SCALING += [("q", (n,)) for n in range(2, 9)] + [("p", (n,)) for n in range(2, 9)]
+
+
+def _sharing_pairs(L):
+    """Ordered pairs (x, y) in which a column of one matrix is a row of
+    the other, read off the basis matrices."""
+    rows = [{i for (i, _j), _v in b.matrix} for b in L.basis]
+    cols = [{j for (_i, j), _v in b.matrix} for b in L.basis]
+    return sum(
+        1
+        for x in range(L.dim)
+        for y in range(L.dim)
+        if cols[x] & rows[y] or cols[y] & rows[x]
+    )
+
+
+@pytest.mark.parametrize("kind, params", SCALING, ids=lambda v: str(v))
+def test_bracket_table_build_scales_as_dim_times_size(monkeypatch, kind, params):
+    calls = _count_calls(monkeypatch, [(liesuper, "super_commutator")])
+    L = SPARSE[kind](*params)
+    assert len(calls) == _sharing_pairs(L)
+    assert len(calls) <= 2 * L.dim * L.size
+
+
+@pytest.mark.parametrize(
+    "build, fits, too_large",
+    [(gl_superalgebra, (2, 2), (3, 2)), (q_superalgebra, (4,), (5,)), (p_superalgebra, (4,), (5,))],
+    ids=["gl", "q", "p"],
+)
+def test_model_builders_refuse_ranks_above_the_limit(monkeypatch, build, fits, too_large):
+    monkeypatch.setattr(rootdata, "MAX_RANK", 4)
+    assert build(*fits).rank == 4
+    with pytest.raises(ParameterError, match="has rank 5, above the limit of 4"):
+        build(*too_large)
+
+
 def _decompose_outcome(algebra, mat):
     try:
         return algebra.decompose(mat)
@@ -548,4 +598,45 @@ def closure_requests(draw):
 @given(closure_requests())
 def test_closure_matches_dense_reference(request):
     L, gens = request
+    assert subalgebra_closure(L, gens) == oracles.dense_subalgebra_closure(L, gens)
+
+
+def _dense(elem, dim):
+    vec = [0] * dim
+    for k, v in elem.items():
+        vec[k] = v
+    return vec
+
+
+def test_closure_brackets_each_homogeneous_pair_once(monkeypatch):
+    # The span after round r is S_r = S_{r-1} + [S_{r-1}, S_{r-1}],
+    # whatever the order of insertion, so round r brings d_r - d_{r-1}
+    # new elements; the next round brackets each of them once with each
+    # of the d_r members.
+    datum = build_gl(3, 3)
+    L, order = lie_algebra_for(datum), default_order(datum)
+    gens = [{b.index: 1} for g in default_psi_odd(datum) for b in L.weight_space(g, ODD)]
+    gens += [{L.even_root_vector(a).index: 1} for a in simple_even_roots(datum, order)]
+    span = lattice.hnf(_dense(g, L.dim) for g in gens)
+    dims = [len(span)]
+    while True:
+        elems = [dict(enumerate(row)) for row in span]
+        brackets = [_dense(L.bracket(u, v), L.dim) for u in elems for v in elems]
+        span = lattice.hnf(list(span) + brackets)
+        if len(span) == dims[-1]:
+            break
+        dims.append(len(span))
+    expected = sum((d - prev) * d for prev, d in zip([0] + dims, dims))
+    calls = _count_calls(monkeypatch, [(L, "bracket")])
+    closure = subalgebra_closure(L, gens)
+    assert len(closure) == dims[-1]
+    assert len(calls) == expected
+
+
+def test_closure_brackets_mixed_elements_both_ways():
+    # For mixed u and v, [v, u] is not a multiple of [u, v]: with these
+    # two mixed generators of p(3), [u, v] alone spans too little.
+    L = p_superalgebra(3)
+    index = {b.name: b.index for b in L.basis}
+    gens = [{index["X[3,2]"]: 1, index["B[3,3]"]: 1}, {index["X[1,3]"]: 1, index["C[1,2]"]: 1}]
     assert subalgebra_closure(L, gens) == oracles.dense_subalgebra_closure(L, gens)
