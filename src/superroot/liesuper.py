@@ -63,7 +63,8 @@ def super_commutator(a: Matrix, b: Matrix, parity_a: str, parity_b: str) -> Matr
 
 
 class LieSuperAlgebra:
-    """Finite homogeneous basis plus the exact bracket table."""
+    """Finite homogeneous basis whose basis-pair brackets are formed on
+    first use and kept."""
 
     def __init__(self, family: str, rank: int, size: int, basis: List[BasisElement]):
         self.family = family
@@ -72,10 +73,12 @@ class LieSuperAlgebra:
         self.basis = basis
         self.dim = len(basis)
         # Every basis entry's owner; the first entry of each is its anchor.
-        # The basis is also indexed by the rows and by the columns it uses.
+        # Each basis matrix's rows and columns, and the basis by (weight,
+        # parity), in basis order.
         self._owner: Dict[Entry, int] = {}
-        by_row: Dict[int, List[int]] = {}
-        by_col: Dict[int, List[int]] = {}
+        self._rows: List[Set[int]] = []
+        self._cols: List[Set[int]] = []
+        self._spaces: Dict[Tuple[Weight, str], List[BasisElement]] = {}
         for b in basis:
             if not b.matrix:
                 raise ValueError("zero basis matrix")
@@ -83,23 +86,13 @@ class LieSuperAlgebra:
                 if (i, j) in self._owner:
                     raise ValueError("basis supports are not disjoint")
                 self._owner[(i, j)] = b.index
-                by_row.setdefault(i, []).append(b.index)
-                by_col.setdefault(j, []).append(b.index)
-        # x·y is nonzero only where a column of x meets a row of y, so x is
-        # bracketed only with the y sharing such an index in either order,
-        # in ascending index: the table keeps the all-pairs (x, y) order.
+            self._rows.append({i for (i, _j), _v in b.matrix})
+            self._cols.append({j for (_i, j), _v in b.matrix})
+            self._spaces.setdefault((b.weight, b.parity), []).append(b)
+        # The nonzero basis-pair brackets formed so far, and the pairs
+        # formed whose bracket is zero.
         self.bracket_table: Dict[Tuple[int, int], Element] = {}
-        for x in basis:
-            partners: Set[int] = set()
-            for (i, j), _v in x.matrix:
-                partners.update(by_row.get(j, ()))
-                partners.update(by_col.get(i, ()))
-            for index in sorted(partners):
-                y = basis[index]
-                mat = super_commutator(x.matrix, y.matrix, x.parity, y.parity)
-                coeffs = self.decompose(mat)
-                if coeffs:
-                    self.bracket_table[(x.index, y.index)] = coeffs
+        self._zero_pairs: Set[Tuple[int, int]] = set()
 
     # -- coordinates ----------------------------------------------------
 
@@ -162,6 +155,24 @@ class LieSuperAlgebra:
 
     # -- bracket --------------------------------------------------------
 
+    def _pair_bracket(self, i: int, j: int) -> Element:
+        """[b_i, b_j] in coordinates, formed on first use.  b_i·b_j is
+        nonzero only where a column of b_i meets a row of b_j, so a pair
+        sharing no such index in either order brackets to zero without a
+        commutator."""
+        rows, cols = self._rows, self._cols
+        if cols[i].isdisjoint(rows[j]) and cols[j].isdisjoint(rows[i]):
+            return {}
+        if (i, j) in self._zero_pairs:
+            return {}
+        x, y = self.basis[i], self.basis[j]
+        coeffs = self.decompose(super_commutator(x.matrix, y.matrix, x.parity, y.parity))
+        if coeffs:
+            self.bracket_table[(i, j)] = coeffs
+        else:
+            self._zero_pairs.add((i, j))
+        return coeffs
+
     def bracket(
         self,
         x: Union[int, BasisElement, Mapping[int, int]],
@@ -169,12 +180,15 @@ class LieSuperAlgebra:
     ):
         """Super-commutator of two elements, expanded bilinearly."""
         xe, ye = self.as_element(x), self.as_element(y)
+        table = self.bracket_table
         out: Dict[int, object] = {}
         for i, ci in xe.items():
             for j, cj in ye.items():
-                entry = self.bracket_table.get((i, j))
-                if not entry:
-                    continue
+                entry = table.get((i, j))
+                if entry is None:
+                    entry = self._pair_bracket(i, j)
+                    if not entry:
+                        continue
                 c = ci * cj
                 for k, v in entry.items():
                     out[k] = out.get(k, 0) + c * v
@@ -184,7 +198,7 @@ class LieSuperAlgebra:
 
     def weight_space(self, w: Weight, parity: str) -> List[BasisElement]:
         lattice.check_rank(w, self.rank)
-        return [b for b in self.basis if b.parity == parity and b.weight == tuple(w)]
+        return list(self._spaces.get((tuple(w), parity), ()))
 
     def odd_cartan(self) -> List[BasisElement]:
         return self.weight_space(lattice.zero(self.rank), ODD)

@@ -927,6 +927,7 @@ def dense_subalgebra_closure(
             out[k] = Fraction(v)
         return out
 
+    table = all_pairs_bracket_table(L)
     frontier: List[List[Fraction]] = []
     for g in generators:
         vec = to_vec(L.as_element(g))
@@ -945,7 +946,7 @@ def dense_subalgebra_closure(
                         for j, cj in enumerate(b):
                             if not cj:
                                 continue
-                            entry = L.bracket_table.get((i, j))
+                            entry = table.get((i, j))
                             if not entry:
                                 continue
                             c = ci * cj

@@ -60,7 +60,7 @@ from superroot.steinberg import (
     upsilon_leading,
 )
 
-from oracles import clifford_simple_dim
+from oracles import all_pairs_bracket_table, clifford_simple_dim
 
 
 def report(number, text):
@@ -176,9 +176,15 @@ def test_criterion_05_lie_structure_suite():
         "p(2)": p_superalgebra(2),
         "p(3)": p_superalgebra(3),
     }
-    triples = 0
+    triples = nonzero_triples = 0
     for name, L in algebras.items():
-        table = L.bracket_table
+        # The sweep reads a table from all dim^2 commutators, and the
+        # library's brackets must agree with it pair by pair.
+        table = all_pairs_bracket_table(L)
+        assert table, name
+        for x in L.basis:
+            for y in L.basis:
+                assert L.bracket(x, y) == table.get((x.index, y.index), {}), (name, x, y)
 
         def br(x, y):
             out = {}
@@ -205,6 +211,7 @@ def test_criterion_05_lie_structure_suite():
                 sign = -1 if (px == ODD and py == ODD) else 1
                 for (z, _pz) in basis:
                     left = br(x, br(y, z))
+                    nonzero_triples += bool(left)
                     right = br(br(x, y), z)
                     mixed = br(y, br(x, z))
                     total = dict(left)
@@ -228,6 +235,7 @@ def test_criterion_05_lie_structure_suite():
             assert len(L.weight_space(root, EVEN)) == 1
         assert len(L.odd_cartan()) == d.h_odd_dim
         assert L.basis_counts() == (d.n_even, d.n_odd)
+    assert nonzero_triples
     report(5, "skew/Jacobi on %d basis triples, gradings and multiplicities" % triples)
 
 

@@ -315,6 +315,19 @@ DENSE = {
 }
 
 
+@pytest.mark.parametrize("kind, params", MODELS, ids=lambda v: str(v))
+def test_weight_space_index_matches_scan(kind, params):
+    L = SPARSE[kind](*params)
+    for w in {b.weight for b in L.basis} | {lattice.zero(L.rank)}:
+        for parity in (EVEN, ODD):
+            scan = [b for b in L.basis if b.parity == parity and b.weight == w]
+            assert L.weight_space(w, parity) == scan
+            assert L.weight_space(list(w), parity) == scan
+            # a fresh list each call: a caller's edit leaves the index alone
+            L.weight_space(w, parity).append(None)
+            assert L.weight_space(w, parity) == scan
+
+
 def dense_matrix(mat, size):
     rows = [[0] * size for _ in range(size)]
     for (i, j), v in mat:
@@ -335,6 +348,20 @@ def test_weight_grading(kind, params):
             assert got == target
 
 
+def _pair_entries(L):
+    """Every ordered basis pair's bracket through ``L.bracket``, keyed in
+    all-pairs order, as (pair, items) in each bracket's key order."""
+    return [
+        ((x, y), list(L.bracket(x, y).items())) for x in range(L.dim) for y in range(L.dim)
+    ]
+
+
+def _reference_entries(table, dim):
+    return [
+        ((x, y), list(table.get((x, y), {}).items())) for x in range(dim) for y in range(dim)
+    ]
+
+
 @pytest.mark.parametrize("kind, params", MODELS, ids=lambda v: str(v))
 def test_bracket_table_matches_dense_reference(kind, params):
     L, ref = SPARSE[kind](*params), DENSE[kind](*params)
@@ -344,10 +371,9 @@ def test_bracket_table_matches_dense_reference(kind, params):
     ]
     for b, d in zip(L.basis, ref.basis):
         assert dense_matrix(b.matrix, L.size) == d.matrix
-    # Entry for entry, in the same key order at both levels.
-    assert [(k, list(v.items())) for k, v in L.bracket_table.items()] == [
-        (k, list(v.items())) for k, v in ref.bracket_table.items()
-    ]
+    # Every ordered pair, through the bracket, in the same key order;
+    # the sweep also shows that every commutator decomposes.
+    assert _pair_entries(L) == _reference_entries(ref.bracket_table, L.dim)
     for coeffs in L.bracket_table.values():
         assert dense_matrix(L.element_matrix(coeffs), L.size) == ref.element_matrix(coeffs)
 
@@ -357,12 +383,12 @@ LARGER = [("gl", (5, 4)), ("gl", (1, 6)), ("gl", (6, 2)), ("q", (6,)), ("p", (6,
 
 @pytest.mark.parametrize("kind, params", LARGER, ids=lambda v: str(v))
 def test_bracket_table_matches_all_pairs_reference(kind, params):
-    # Models too large for the dense reference: the table from shared
-    # row/column indices against the one from all dim^2 pairs, in order.
+    # Models too large for the dense reference: each pair's bracket,
+    # formed on demand, against the table from all dim^2 commutators.
     L = SPARSE[kind](*params)
-    assert [(k, list(v.items())) for k, v in L.bracket_table.items()] == [
-        (k, list(v.items())) for k, v in oracles.all_pairs_bracket_table(L).items()
-    ]
+    reference = oracles.all_pairs_bracket_table(L)
+    assert _pair_entries(L) == _reference_entries(reference, L.dim)
+    assert L.bracket_table == reference
 
 
 SCALING = [("gl", (k, k)) for k in range(1, 7)]
@@ -384,10 +410,35 @@ def _sharing_pairs(L):
 
 @pytest.mark.parametrize("kind, params", SCALING, ids=lambda v: str(v))
 def test_bracket_table_build_scales_as_dim_times_size(monkeypatch, kind, params):
+    # Construction forms no commutator; a sweep over every ordered pair
+    # forms one per pair sharing a row/column index, and a second sweep
+    # none.  Every commutator decomposes over the basis.
     calls = _count_calls(monkeypatch, [(liesuper, "super_commutator")])
     L = SPARSE[kind](*params)
+    assert calls == []
+    _pair_entries(L)
     assert len(calls) == _sharing_pairs(L)
     assert len(calls) <= 2 * L.dim * L.size
+    _pair_entries(L)
+    assert len(calls) == _sharing_pairs(L)
+
+
+@pytest.mark.parametrize(
+    "kind, params, commutators",
+    [("gl", (5, 5), 72), ("q", (8,), 168), ("p", (6,), 55)],
+    ids=["gl55", "q8", "p6"],
+)
+def test_default_check_forms_few_commutators(monkeypatch, kind, params, commutators):
+    # A fresh model brackets only the pairs its closure reads: gl(5|5)
+    # has 1,900 sharing pairs, q(8) 3,840 and p(6) 1,518.
+    datum = {"gl": build_gl, "q": build_q, "p": build_p}[kind](*params)
+    calls = _count_calls(monkeypatch, [(liesuper, "super_commutator")])
+    L, order = lie_algebra_for(datum), default_order(datum)
+    report = check_admissible_base(
+        L, datum, order, simple_even_roots(datum, order), default_psi_odd(datum)
+    )
+    assert report.ok
+    assert len(calls) == commutators
 
 
 @pytest.mark.parametrize(
