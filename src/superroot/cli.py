@@ -20,13 +20,17 @@ from .lattice import Weight
 BIG = 2**53
 
 
+def _too_long() -> rootdata.ParameterError:
+    return rootdata.ParameterError(
+        "result has more than %d decimal digits" % sys.get_int_max_str_digits()
+    )
+
+
 def _decimal(value: int) -> str:
     try:
         return str(value)
     except ValueError:  # beyond sys.get_int_max_str_digits()
-        raise rootdata.ParameterError(
-            "result has more than %d decimal digits" % sys.get_int_max_str_digits()
-        ) from None
+        raise _too_long() from None
 
 
 def _jsonable(value):
@@ -75,13 +79,17 @@ def build_datum(args) -> rootdata.SuperRootDatum:
     return rootdata.Family(args.family, params).build()
 
 
-def get_order(args, datum: rootdata.SuperRootDatum) -> rootdata.OrderFunctional:
+def get_order(
+    args, datum: rootdata.SuperRootDatum
+) -> Tuple[rootdata.OrderFunctional, rootdata.PositiveSystem]:
+    """``--order`` (else the family's default order) and the roots split by
+    it; the split is the order's check, raising at the first root where
+    the order vanishes."""
     if args.order:
         order = rootdata.OrderFunctional.from_values(args.order.split(","))
     else:
         order = rootdata.default_order(datum)
-    order.validate(datum)
-    return order
+    return order, rootdata.positive_system(datum, order)
 
 
 def default_psi_odd(datum: rootdata.SuperRootDatum) -> List[Weight]:
@@ -97,15 +105,6 @@ def default_psi_odd(datum: rootdata.SuperRootDatum) -> List[Weight]:
     if family.kind == "q":
         return [lattice.unit_difference(rank, i, i + 1) for i in range(rank - 1)]
     return [tuple(2 if k == rank - 1 else 0 for k in range(rank))]
-
-
-def get_psi(args, datum, order) -> Tuple[List[Weight], List[Weight]]:
-    psi_even = rootdata.simple_even_roots(datum, order)
-    if getattr(args, "psi_odd", None):
-        psi_odd = parse_weights(args.psi_odd)
-    else:
-        psi_odd = default_psi_odd(datum)
-    return psi_even, psi_odd
 
 
 def load_char(text: str) -> steinberg.CharacterElement:
@@ -155,13 +154,22 @@ def cmd_frobenius(args) -> dict:
 
 def cmd_delta(args) -> dict:
     datum = build_datum(args)
-    order = get_order(args, datum)
+    order, _split = get_order(args, datum)
     value = rootdata.delta_r(datum, order, args.p, args.r)
     return {"delta_r": list(value), "p": args.p, "r": args.r}
 
 
 def cmd_dims(args) -> dict:
+    """Both counts equal q**n_even * 2**n_odd, with q = p**r, which is at
+    least 2**(n_even*(bitlen(q)-1) + n_odd).  When that bound already
+    passes the int-to-str limit the request is refused before either
+    count is computed; p and r are checked first."""
     datum = build_datum(args)
+    q = rootdata.frobenius_modulus(args.p, args.r)
+    digits = sys.get_int_max_str_digits()
+    bits = datum.n_even * (q.bit_length() - 1) + datum.n_odd
+    if digits and bits >= (10**digits).bit_length():
+        raise _too_long()
     return {
         "dim_O_Gr": rootdata.dim_O_Gr(datum, args.p, args.r),
         "pbw_count": rootdata.pbw_monomial_count(datum, args.p, args.r),
@@ -172,12 +180,14 @@ def cmd_dims(args) -> dict:
 
 def base_setup(args):
     """Datum, order, Lie model and base, built in that order so the first
-    bad input is the one reported."""
+    bad input is the one reported.  The even base is the simple roots of
+    the order's split; the odd base is ``--psi-odd``, else the family's
+    default."""
     datum = build_datum(args)
-    order = get_order(args, datum)
+    order, split = get_order(args, datum)
     L = liesuper.lie_algebra_for(datum)
-    psi_even, psi_odd = get_psi(args, datum, order)
-    return datum, L, order, psi_even, psi_odd
+    psi_odd = parse_weights(args.psi_odd) if args.psi_odd else default_psi_odd(datum)
+    return datum, L, order, split.simple_even, psi_odd
 
 
 def cmd_admissible(args) -> dict:
@@ -243,12 +253,11 @@ def cmd_char(args) -> dict:
         return steinberg.char_to_json(
             steinberg.frobenius_twist(load_char(args.a), args.p, args.r or 0)
         )
-    if args.op == "steinberg":
-        if not args.inputs or args.p is None:
-            raise rootdata.ParameterError("char steinberg needs --inputs and --p")
-        chars = [load_char(tok) for tok in args.inputs]
-        return steinberg.char_to_json(steinberg.steinberg_character(chars, args.p))
-    raise rootdata.ParameterError("unknown char op %r" % args.op)
+    # "steinberg", the one op left that argparse's choices admit.
+    if not args.inputs or args.p is None:
+        raise rootdata.ParameterError("char steinberg needs --inputs and --p")
+    chars = [load_char(tok) for tok in args.inputs]
+    return steinberg.char_to_json(steinberg.steinberg_character(chars, args.p))
 
 
 def cmd_verify_commutator(args) -> dict:

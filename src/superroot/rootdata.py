@@ -277,10 +277,6 @@ class OrderFunctional:
             raise InvalidOrderError("order functional vanishes on root %r" % (root,))
         return value > 0
 
-    def validate(self, datum: SuperRootDatum) -> None:
-        for root in datum.all_roots():
-            self.is_positive(root)
-
 
 def default_order(datum: SuperRootDatum) -> OrderFunctional:
     """The standard order for built-in families: GL/Q use -i, P uses n-i+1."""

@@ -16,7 +16,7 @@ whose every candidate digit failed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import lattice
 from .lattice import Weight
@@ -179,13 +179,13 @@ def _restriction_setup(
     lam: Weight,
     p: int,
     validate_base: bool,
-) -> Tuple[bool, Callable[[], Callable[[Weight], bool]], List[Tuple]]:
+) -> Tuple[bool, List[Tuple]]:
     """Checks lam's rank, the base (when ``validate_base``) and lam's
     precondition: flatness for families with a flat rule (gl, q), else
-    dominance.  Returns whether the precondition is dominance, a builder
-    of that precondition as a test on further weights (a builder, so
-    that is_restricted, which tests no further weight, splits the roots
-    no more often than it must), and the restriction rows."""
+    dominance.  Returns whether the precondition is dominance and the
+    restriction rows; steinberg_decompose builds the same test for its
+    digits itself, so is_restricted splits the roots no more than it
+    must."""
     lattice.check_rank(lam, datum.rank)
     if validate_base:
         report = check_admissible_base(L, datum, order, psi_even, psi_odd)
@@ -195,26 +195,13 @@ def _restriction_setup(
                 % "; ".join(report.failures)
             )
     weakened = not _has_flat_rule(datum)
-    if weakened:
-        lam_ok = is_dominant(datum, order, lam)
-
-        def precondition() -> Callable[[Weight], bool]:
-            # The positive even coroots, split once for every weight tested.
-            coroots = _positive_even_coroots(datum, order)
-            return lambda w: _pairs_nonnegative(w, coroots)
-
-    else:
-        lam_ok = is_flat(datum, p, lam)
-
-        def precondition() -> Callable[[Weight], bool]:
-            return lambda w: is_flat(datum, p, w)
-
+    lam_ok = is_dominant(datum, order, lam) if weakened else is_flat(datum, p, lam)
     if not lam_ok:
         raise FlatnessError(
             "weight %r fails the %s precondition"
             % (lam, "dominance" if weakened else "flatness")
         )
-    return weakened, precondition, _restriction_rows(datum, L, psi_even, psi_odd)
+    return weakened, _restriction_rows(datum, L, psi_even, psi_odd)
 
 
 def is_restricted(
@@ -235,7 +222,7 @@ def is_restricted(
     weight's value on [K_alpha, K_alpha], and by p^r - 1 otherwise.
     """
     q = frobenius_modulus(p, r)
-    weakened, _precondition, rows = _restriction_setup(
+    weakened, rows = _restriction_setup(
         datum, L, order, psi_even, psi_odd, lam, p, validate_base
     )
     checks = tuple(
@@ -309,10 +296,15 @@ def steinberg_decompose(
         radius = 2
     elif radius < 0:
         raise ParameterError("radius must be >= 0, got %d" % radius)
-    _weakened, precondition, rows = _restriction_setup(
+    weakened, rows = _restriction_setup(
         datum, L, order, psi_even, psi_odd, lam, p, validate_base
     )
-    passes_flat = precondition()
+    if weakened:
+        # The positive even coroots, split once for every digit tested.
+        coroots = _positive_even_coroots(datum, order)
+        passes_flat = lambda w: _pairs_nonnegative(w, coroots)
+    else:
+        passes_flat = lambda w: is_flat(datum, p, w)
     top = max((abs(c) for c in lam), default=0)
     max_digits = 3
     q = 1

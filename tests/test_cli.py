@@ -5,6 +5,7 @@ import shlex
 
 import pytest
 
+from superroot import liesuper, rootdata, steinberg
 from superroot.cli import main
 from superroot.rootdata import build_gl, build_q, datum_to_json
 
@@ -414,6 +415,42 @@ def test_large_results_within_the_limit_are_decimal_strings(capsys):
     assert int(payload["dim_O_Gr"]) == 3 ** 7200 * 4 == int(payload["pbw_count"])
 
 
+def test_dims_refuses_an_unprintable_result_before_computing_it(capsys, monkeypatch):
+    # 3^(4000 * 4160) has about 7.9 million digits; neither count is formed.
+    def refuse(*args):
+        raise AssertionError("count computed")
+
+    monkeypatch.setattr(rootdata, "dim_O_Gr", refuse)
+    monkeypatch.setattr(rootdata, "pbw_monomial_count", refuse)
+    code, payload = run_json(
+        capsys, "dims", "--family", "q", "--n", "64", "--p", "3", "--r", "4000"
+    )
+    assert code == 1
+    assert payload == {
+        "error": {"type": "ParameterError", "message": "result has more than 4300 decimal digits"}
+    }
+    code, payload = run_json(
+        capsys, "dims", "--family", "q", "--n", "64", "--p", "9", "--r", "4000"
+    )
+    assert payload["error"]["message"] == "p must be an odd prime, got 9"
+
+
+def test_dims_answers_just_under_the_limit(capsys):
+    # 3^9010 * 4 has 4,300 digits, and its lower bound 2^14282 is just
+    # under the refusal's 14,285 bits; one step of r further is refused.
+    code, payload = run_json(
+        capsys, "dims", "--family", "gl", "--m", "1", "--n", "1", "--p", "3", "--r", "4505"
+    )
+    assert code == 0
+    assert len(payload["dim_O_Gr"]) == 4300
+    assert int(payload["dim_O_Gr"]) == 3 ** 9010 * 4 == int(payload["pbw_count"])
+    code, payload = run_json(
+        capsys, "dims", "--family", "gl", "--m", "1", "--n", "1", "--p", "3", "--r", "4506"
+    )
+    assert code == 1
+    assert payload["error"]["message"] == "result has more than 4300 decimal digits"
+
+
 def test_table_mode_reports_an_oversized_result(capsys):
     code, out = run(capsys, "dims", "--family", "q", "--n", "2", "--p", "3", "--r", "3000")
     assert code == 1
@@ -506,3 +543,43 @@ def test_readme_cli_examples_run(capsys):
             assert out == comment + "\n", line
             exact += 1
     assert exact == 2
+
+
+@pytest.mark.parametrize(
+    "argv, splits, evals",
+    [
+        (["admissible", "--family", "p", "--n", "3"], 2, 30),
+        (["restricted", "--family", "p", "--n", "3", "--p", "3", "--r", "1", "--weight=2,1,0"],
+         3, 45),
+        (["decompose", "--family", "p", "--n", "3", "--p", "3", "--weight=2,1,0"], 4, 60),
+        (["decompose", "--family", "q", "--n", "8", "--p", "3", "--weight=3" + ",0" * 7],
+         2, 224),
+        (["restricted", "--family", "q", "--n", "16", "--p", "3", "--r", "1",
+          "--weight=1" + ",0" * 15], 2, 960),
+        (["delta", "--family", "q", "--n", "8", "--p", "3", "--r", "1"], 2, 224),
+    ],
+    ids=["admissible-p3", "restricted-p3", "decompose-p3", "decompose-q8",
+         "restricted-q16", "delta-q8"],
+)
+def test_order_work_per_verb(capsys, monkeypatch, argv, splits, evals):
+    # The CLI's order check is its one split; the rest are the library's
+    # (check_admissible_base, is_dominant, the digits' coroots, delta_r).
+    # p(3) has 15 roots, q(8) 112 and q(16) 480: each split evaluates the
+    # order once per root.
+    counts = {"splits": 0, "evals": 0}
+    real_split, real_eval = rootdata.positive_system, rootdata.OrderFunctional.eval
+
+    def split(*args):
+        counts["splits"] += 1
+        return real_split(*args)
+
+    def evaluate(self, w):
+        counts["evals"] += 1
+        return real_eval(self, w)
+
+    for module in (rootdata, liesuper, steinberg):
+        monkeypatch.setattr(module, "positive_system", split)
+    monkeypatch.setattr(rootdata.OrderFunctional, "eval", evaluate)
+    code, _payload = run_json(capsys, *argv)
+    assert code == 0
+    assert counts == {"splits": splits, "evals": evals}

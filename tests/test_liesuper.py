@@ -697,6 +697,42 @@ def test_closure_of_a_mixed_generator_is_not_right_normed():
     assert len(closure) == L.dim
 
 
+@pytest.mark.parametrize(
+    "model, n, terms",
+    [
+        (p_superalgebra, 3, [{"X[3,2]": 1, "B[3,3]": 1}, {"X[1,3]": 1, "C[1,2]": 1}]),
+        (q_superalgebra, 2, [{"X[2,1]": 2, "K_1": 2, "Y[1,2]": 1}]),
+    ],
+    ids=["p3-two-mixed", "q2-one-mixed"],
+)
+def test_mixed_closure_brackets_every_ordered_pair(monkeypatch, model, n, terms):
+    # With a mixed generator every ordered pair (x, y) of elements found is
+    # bracketed as [x, y], or as [y, x] when both are homogeneous.  The
+    # walk's second bracket [u, v] is what covers an element found after
+    # an earlier element's partner loop has ended.
+    L = model(n)
+    index = {b.name: b.index for b in L.basis}
+    gens = [{index[name]: c for name, c in gen.items()} for gen in terms]
+    calls = _count_calls(monkeypatch, [(L, "bracket")])
+    closure = subalgebra_closure(L, gens)
+    key = lambda elem: tuple(sorted(elem.items()))
+    found = {key(x): x for call in calls for x in call}
+    pairs = {(key(x), key(y)) for x, y in calls}
+    assert len(found) == len(closure)
+    missing = [
+        (x, y)
+        for x in found
+        for y in found
+        if (x, y) not in pairs
+        and not (
+            L.parity_of(found[x]) != liesuper.MIXED
+            and L.parity_of(found[y]) != liesuper.MIXED
+            and (y, x) in pairs
+        )
+    ]
+    assert missing == []
+
+
 @st.composite
 def homogeneous_closure_requests(draw):
     """A model and generators of one parity each, with 1-3 terms and

@@ -181,11 +181,13 @@ def test_simple_even_roots_gl():
 @pytest.mark.parametrize("values", [[-1, -2, -3], [3, 1, 2], [1, 1, 2], [1, 2, 2], [0, 0, 0]])
 def test_positive_system_evaluates_each_root_once(monkeypatch, values):
     # The vanishing check and the split share one value per root, and a
-    # vanishing order is reported at the same first root as validate() names.
+    # vanishing order is reported at the first root, even roots then odd,
+    # where is_positive refuses it.
     d = build_gl(2, 1)
     order = OrderFunctional.from_values(values)
     try:
-        order.validate(d)
+        for root in d.all_roots():
+            order.is_positive(root)
         expected = None
     except InvalidOrderError as exc:
         expected = str(exc)
