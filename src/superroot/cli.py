@@ -84,8 +84,9 @@ def get_order(
 ) -> Tuple[rootdata.OrderFunctional, rootdata.PositiveSystem]:
     """``--order`` (else the family's default order) and the roots split by
     it; the split is the order's check, raising at the first root where
-    the order vanishes."""
-    if args.order:
+    the order vanishes.  An empty ``--order=`` is given, and refused as
+    not rational."""
+    if args.order is not None:
         order = rootdata.OrderFunctional.from_values(args.order.split(","))
     else:
         order = rootdata.default_order(datum)
@@ -154,8 +155,8 @@ def cmd_frobenius(args) -> dict:
 
 def cmd_delta(args) -> dict:
     datum = build_datum(args)
-    order, _split = get_order(args, datum)
-    value = rootdata.delta_r(datum, order, args.p, args.r)
+    _order, split = get_order(args, datum)
+    value = rootdata.delta_r(datum, split, args.p, args.r)
     return {"delta_r": list(value), "p": args.p, "r": args.r}
 
 
@@ -181,12 +182,14 @@ def cmd_dims(args) -> dict:
 def base_setup(args):
     """Datum, order, Lie model and base, built in that order so the first
     bad input is the one reported.  The even base is the simple roots of
-    the order's split; the odd base is ``--psi-odd``, else the family's
-    default."""
+    the order's split; the odd base is ``--psi-odd`` (empty for
+    ``--psi-odd=``), else the family's default."""
     datum = build_datum(args)
     order, split = get_order(args, datum)
     L = liesuper.lie_algebra_for(datum)
-    psi_odd = parse_weights(args.psi_odd) if args.psi_odd else default_psi_odd(datum)
+    psi_odd = (
+        default_psi_odd(datum) if args.psi_odd is None else parse_weights(args.psi_odd)
+    )
     return datum, L, order, split.simple_even, psi_odd
 
 

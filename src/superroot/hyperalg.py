@@ -104,12 +104,9 @@ def _binom_int(top: int, k: int) -> int:
     """binom(top, k) for possibly negative top, integer valued."""
     if k < 0:
         return 0
-    value = 1
-    for i in range(k):
-        value *= top - i
-    for i in range(1, k + 1):
-        value //= i
-    return value
+    if top >= 0:
+        return comb(top, k)
+    return (-1) ** k * comb(k - top - 1, k)
 
 
 def apply_monomial(dm: DividedMonomial, poly: Poly) -> Poly:

@@ -440,7 +440,7 @@ def _cone_member(
     positive integer order values.
 
     The budget strictly decreases along every branch, so the search
-    terminates; it is the fallback for linearly dependent bases.
+    terminates.
     """
     if target in memo:
         return memo[target]
@@ -487,6 +487,25 @@ def _coordinate_solver(
     return member
 
 
+def _cone_search(
+    base: Sequence[Weight], order: OrderFunctional
+) -> Callable[[Weight], bool]:
+    """A membership test of the nonnegative integer cone of a base on
+    which the order is positive, by :func:`_cone_member`: the fallback for
+    a dependent base.  The order is scaled to integers once for the
+    search's budgets; positive scaling keeps every comparison of order
+    values."""
+    den = math.lcm(*(v.denominator for v in order.values))
+    scaled = [v.numerator * (den // v.denominator) for v in order.values]
+
+    def value(w: Weight) -> int:
+        return sum(a * b for a, b in zip(scaled, w))
+
+    psis = [(psi, value(psi)) for psi in base]
+    memo: Dict[Weight, bool] = {}
+    return lambda target: _cone_member(target, value(target), psis, memo)
+
+
 def check_admissible_base(
     L: LieSuperAlgebra,
     datum: SuperRootDatum,
@@ -498,11 +517,12 @@ def check_admissible_base(
     """Evaluate the three base conditions: generation, separation,
     multiplicity-one.
 
-    Generation demands (a) that every nonzero root is a sign-definite
-    integer combination of the base, and (b) that every positive odd
-    weight space lies in the bracket closure of the odd base vectors --
-    together with the even simple root vectors in ``assisted`` mode
-    (default), or of the odd base vectors alone in ``strict`` mode.
+    Generation demands (a) that every nonzero root, signed by the
+    order's split, is a nonnegative integer combination of the base, and
+    (b) that every positive odd weight space lies in the bracket closure
+    of the odd base vectors -- together with the even simple root vectors
+    in ``assisted`` mode (default), or of the odd base vectors alone in
+    ``strict`` mode.
     """
     if mode not in ("assisted", "strict"):
         raise ParameterError("mode must be 'assisted' or 'strict'")
@@ -520,34 +540,16 @@ def check_admissible_base(
         if gamma not in odd_pos:
             raise ParameterError("psi_odd root %r is not a positive odd root" % (gamma,))
 
-    failures: List[str] = []
-
-    # generation (a): the base spans every root with a uniform sign.
-    # The order functional, scaled to integers once: positive scaling
-    # keeps every sign and every comparison of order values.
-    den = math.lcm(*(v.denominator for v in order.values))
-    scaled = [v.numerator * (den // v.denominator) for v in order.values]
-
-    def value(w: Weight) -> int:
-        return sum(a * b for a, b in zip(scaled, w))
-
+    # generation (a): the base spans every root, signed by the split.
     base = list(dict.fromkeys(psi_even + psi_odd_set))
-    solve = _coordinate_solver(base, datum.rank)
-    psis = [(psi, value(psi)) for psi in base]
-    memo: Dict[Weight, bool] = {}
+    member = _coordinate_solver(base, datum.rank) or _cone_search(base, order)
+    positive = {w for w, _ in pos.even_pos + pos.odd_pos}
     all_roots = set(datum.all_roots())
-    cone_ok = True
-    for root in sorted(all_roots):
-        signed = root if value(root) > 0 else lattice.neg(root)
-        if solve is not None:
-            member = solve(signed)
-        else:
-            member = _cone_member(signed, value(signed), psis, memo)
-        if not member:
-            cone_ok = False
-            failures.append(
-                "generation: root %r is not a signed combination of the base" % (root,)
-            )
+    cone = [
+        "generation: root %r is not a signed combination of the base" % (root,)
+        for root in sorted(all_roots)
+        if not member(root if root in positive else lattice.neg(root))
+    ]
 
     # generation (b): bracket closure reaches every positive odd weight space.
     gens: List[Mapping[int, int]] = []
@@ -558,52 +560,40 @@ def check_admissible_base(
         for alpha in psi_even:
             gens.append({L.even_root_vector(alpha).index: 1})
     closure = subalgebra_closure(L, gens)
-    closure_ok = True
-    for gamma in odd_pos:
-        for b in L.weight_space(gamma, ODD):
-            vec = [0] * L.dim
-            vec[b.index] = 1
-            if not lattice.in_lattice(vec, closure):
-                closure_ok = False
-                failures.append(
-                    "generation: odd weight space %r escapes the %s closure"
-                    % (gamma, mode)
-                )
-    generation_ok = cone_ok and closure_ok
+    escaped = [
+        "generation: odd weight space %r escapes the %s closure" % (gamma, mode)
+        for gamma in odd_pos
+        for b in L.weight_space(gamma, ODD)
+        if not lattice.in_lattice([int(i == b.index) for i in range(L.dim)], closure)
+    ]
 
     # separation: gamma - alpha is never a root.
-    separation_ok = True
-    for alpha in psi_even:
-        for gamma in psi_odd_set:
-            if alpha == gamma:
-                continue
-            if lattice.sub(gamma, alpha) in all_roots:
-                separation_ok = False
-                failures.append(
-                    "separation: %r - %r is a root" % (gamma, alpha)
-                )
+    separation = [
+        "separation: %r - %r is a root" % (gamma, alpha)
+        for alpha in psi_even
+        for gamma in psi_odd_set
+        if alpha != gamma and lattice.sub(gamma, alpha) in all_roots
+    ]
 
     # multiplicity-one on shared simple roots.
     odd_mult = {r: m for r, m in datum.odd_roots}
-    shared = [a for a in psi_even if a in psi_odd_set]
-    mult_ok = True
-    for alpha in shared:
-        for signed in (alpha, lattice.neg(alpha)):
-            if odd_mult.get(signed, 0) != 1:
-                mult_ok = False
-                failures.append(
-                    "multiplicity-one: dim of odd space %r is %d"
-                    % (signed, odd_mult.get(signed, 0))
-                )
+    multiplicity = [
+        "multiplicity-one: dim of odd space %r is %d"
+        % (signed, odd_mult.get(signed, 0))
+        for alpha in psi_even
+        if alpha in psi_odd_set
+        for signed in (alpha, lattice.neg(alpha))
+        if odd_mult.get(signed, 0) != 1
+    ]
 
-    conditions = (
-        ("generation", generation_ok),
-        ("separation", separation_ok),
-        ("multiplicity-one", mult_ok),
-    )
+    failures = cone + escaped + separation + multiplicity
     return AdmissibleBaseReport(
-        ok=generation_ok and separation_ok and mult_ok,
-        conditions=conditions,
+        ok=not failures,
+        conditions=(
+            ("generation", not cone and not escaped),
+            ("separation", not separation),
+            ("multiplicity-one", not multiplicity),
+        ),
         failures=tuple(failures),
         mode=mode,
     )

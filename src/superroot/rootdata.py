@@ -47,16 +47,11 @@ PRIME_TEST_LIMIT = 3317044064679887385961981
 
 
 def is_odd_prime(p: int) -> bool:
-    """Trial division below 43**2, deterministic Miller-Rabin above; an odd
-    p at or beyond PRIME_TEST_LIMIT is refused."""
+    """Deterministic Miller-Rabin over _PRIME_BASES, a base itself being
+    prime; an odd p at or beyond PRIME_TEST_LIMIT is refused."""
     if p < 3 or p % 2 == 0:
         return False
-    if p < 43 * 43:
-        d = 3
-        while d * d <= p:
-            if p % d == 0:
-                return False
-            d += 2
+    if p in _PRIME_BASES:
         return True
     if p >= PRIME_TEST_LIMIT:
         raise ParameterError(
@@ -462,12 +457,12 @@ def all_frobenius_unimodular(datum: SuperRootDatum) -> bool:
     return lattice.is_zero(odd_root_sum(datum))
 
 
-def delta_r(
-    datum: SuperRootDatum, order: OrderFunctional, p: int, r: int
-) -> Weight:
-    """Torus restriction of the character measuring ind/coind asymmetry."""
+def delta_r(datum: SuperRootDatum, pos: PositiveSystem, p: int, r: int) -> Weight:
+    """Torus restriction of the character measuring ind/coind asymmetry:
+    -(p**r - 1) times the sum of the positive even roots of the split
+    ``pos`` of the datum's roots, plus its negative odd roots with
+    multiplicity."""
     q = frobenius_modulus(p, r)
-    pos = positive_system(datum, order)
     total = lattice.zero(datum.rank)
     for root, _ in pos.even_pos:
         total = lattice.add(total, lattice.scale(-(q - 1), root))
@@ -501,18 +496,15 @@ def pbw_monomial_count(datum: SuperRootDatum, p: int, r: int) -> int:
 
 
 def induced_dims(
-    datum: SuperRootDatum,
-    order: OrderFunctional,
-    p: int,
-    r: int,
-    dim_u_lambda: int,
+    pos: PositiveSystem, p: int, r: int, dim_u_lambda: int
 ) -> Tuple[int, int]:
     """Dimensions of the induced and coinduced modules from a seed of
-    dimension ``dim_u_lambda``."""
+    dimension ``dim_u_lambda``, read from the counts of the split ``pos``:
+    p**r per even root and 2 per odd dimension on the positive side for
+    the induced module, on the negative side for the coinduced one."""
     q = frobenius_modulus(p, r)
     if dim_u_lambda < 0:
         raise ParameterError("dim_u_lambda must be nonnegative")
-    pos = positive_system(datum, order)
     dim_ind = q ** len(pos.even_pos) * 2**pos.n_odd_pos * dim_u_lambda
     dim_coind = q ** len(pos.even_neg) * 2**pos.n_odd_neg * dim_u_lambda
     return dim_ind, dim_coind

@@ -287,9 +287,11 @@ def steinberg_decompose(
 
     Digits are congruent to the running weight mod p coordinatewise; the
     first complete decomposition in the canonical-first search order is
-    returned and trailing zero digits are dropped.  ``radius=None`` means
-    2.  Raises :class:`ParameterError` for a negative radius and
-    :class:`DecompositionFailure` when the bounded search is exhausted.
+    returned.  Its last digit is the nonzero remainder at its level, so
+    it never ends in a zero digit, and the zero weight has no digits.
+    ``radius=None`` means 2.  Raises :class:`ParameterError` for a
+    negative radius and :class:`DecompositionFailure` when the bounded
+    search is exhausted.
     """
     check_odd_prime(p)
     if radius is None:
@@ -359,8 +361,6 @@ def steinberg_decompose(
             % (lam, radius, max_digits),
             frontier,
         )
-    while digits and lattice.is_zero(digits[-1]):
-        digits.pop()
     return digits
 
 

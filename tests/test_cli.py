@@ -92,6 +92,16 @@ def test_admissible_defaults(capsys):
     assert code == 0 and payload["ok"] is False
 
 
+def test_empty_psi_odd_is_the_empty_base(capsys):
+    # An explicit empty --psi-odd= is given, not replaced by the default
+    # base [[0,2]] of p(2): it checks the same empty base as ";".
+    argv = ["admissible", "--family", "p", "--n", "2"]
+    code, payload = run_json(capsys, *argv, "--psi-odd=")
+    assert code == 0 and payload["psi_odd"] == [] and payload["ok"] is False
+    assert payload["conditions"]["generation"] is False
+    assert run_json(capsys, *argv, "--psi-odd=;") == (0, payload)
+
+
 def test_restricted_verb(capsys):
     code, payload = run_json(
         capsys,
@@ -296,6 +306,8 @@ def _line_char(n):
           "--order", "1/0"], "ParameterError", "order value '1/0' is not a rational number"),
         (["admissible", "--family", "q", "--n", "2", "--order", "a,b"],
          "ParameterError", "order value 'a' is not a rational number"),
+        (["admissible", "--family", "q", "--n", "2", "--order="],
+         "ParameterError", "order value '' is not a rational number"),
         (["describe", "--family", "file", "--file", _datum_with(even_roots=7)],
          "DatumValidationError", "$.even_roots: expected a list"),
         (["describe", "--family", "file", "--file", _datum_with(odd_roots={})],
@@ -331,7 +343,7 @@ def _line_char(n):
          "ParameterError", "p must be 0 or an odd prime, got 9"),
     ],
     ids=[
-        "order-zero-division", "order-not-rational", "even-roots-not-list",
+        "order-zero-division", "order-not-rational", "order-empty", "even-roots-not-list",
         "odd-roots-not-list", "rank-bool", "h-odd-dim-bool", "mult-bool", "root-entry-bool",
         "terms-not-list", "weight-float", "weight-string", "char-mult-bool",
         "dims-beyond-str-limit", "twist-beyond-str-limit", "twist-huge-r",
@@ -556,14 +568,15 @@ def test_readme_cli_examples_run(capsys):
          2, 224),
         (["restricted", "--family", "q", "--n", "16", "--p", "3", "--r", "1",
           "--weight=1" + ",0" * 15], 2, 960),
-        (["delta", "--family", "q", "--n", "8", "--p", "3", "--r", "1"], 2, 224),
+        (["delta", "--family", "q", "--n", "8", "--p", "3", "--r", "1"], 1, 112),
     ],
     ids=["admissible-p3", "restricted-p3", "decompose-p3", "decompose-q8",
          "restricted-q16", "delta-q8"],
 )
 def test_order_work_per_verb(capsys, monkeypatch, argv, splits, evals):
-    # The CLI's order check is its one split; the rest are the library's
-    # (check_admissible_base, is_dominant, the digits' coroots, delta_r).
+    # The CLI's order check is its one split, which delta_r reads; the rest
+    # are the library's (check_admissible_base, is_dominant, the digits'
+    # coroots).
     # p(3) has 15 roots, q(8) 112 and q(16) 480: each split evaluates the
     # order once per root.
     counts = {"splits": 0, "evals": 0}

@@ -1,9 +1,10 @@
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 
 from superroot.hyperalg import (
     DividedMonomial,
+    _binom_int,
     apply_lower,
     apply_monomial,
     apply_raise,
@@ -131,3 +132,14 @@ def test_apply_monomial_coefficient():
 def test_divided_monomial_rejects_negative():
     with pytest.raises(ParameterError):
         DividedMonomial(1, -1, (), 0)
+
+
+def test_binom_int_is_the_falling_factorial_quotient():
+    # binom(top, k) = top (top - 1) ... (top - k + 1) / k! for every
+    # integer top, negative ones included.
+    for top in range(-15, 16):
+        for k in range(16):
+            falling = prod(top - i for i in range(k))
+            assert falling % factorial(k) == 0
+            assert _binom_int(top, k) == falling // factorial(k), (top, k)
+        assert _binom_int(top, -1) == 0

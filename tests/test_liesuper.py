@@ -25,6 +25,7 @@ from superroot.rootdata import (
     Family,
     OrderFunctional,
     ParameterError,
+    SuperRootDatum,
     build_gl,
     build_p,
     build_q,
@@ -245,6 +246,20 @@ def test_admissible_strict_mode_gl21():
         d, lie_algebra_for(d), default_order(d), [(0, 1, -1)], mode="strict"
     )
     assert not rep.ok and rep.condition("generation") is False
+
+
+def test_admissible_multiplicity_one_failure():
+    # q(2)'s roots with the odd space of weight (1,-1) made 2-dimensional:
+    # the shared simple root (1,-1) then fails multiplicity-one only.
+    q2 = build_q(2)
+    odd = tuple((r, 2 if r == (1, -1) else m) for r, m in q2.odd_roots)
+    d = SuperRootDatum(q2.rank, q2.even_roots, odd, q2.h_odd_dim, q2.label, q2.family)
+    rep = _base_check(d, lie_algebra_for(q2), default_order(d), [(1, -1)])
+    assert not rep.ok
+    assert rep.conditions == (
+        ("generation", True), ("separation", True), ("multiplicity-one", False)
+    )
+    assert rep.failures == ("multiplicity-one: dim of odd space (1, -1) is 2",)
 
 
 def test_admissible_rejects_bad_psi_odd():
@@ -677,8 +692,10 @@ def test_closure_brackets_each_element_with_each_generator(monkeypatch, k):
 
 
 def test_closure_brackets_mixed_elements_both_ways():
-    # For mixed u and v, [v, u] is not a multiple of [u, v]: with these
-    # two mixed generators of p(3), [u, v] alone spans too little.
+    # For mixed u and v, [v, u] is not a multiple of [u, v]; the closure of
+    # these two mixed generators of p(3) must still equal the dense
+    # reference's.  It does not pin the walk's second bracket [u, v]:
+    # test_mixed_closure_brackets_every_ordered_pair does.
     L = p_superalgebra(3)
     index = {b.name: b.index for b in L.basis}
     gens = [{index["X[3,2]"]: 1, index["B[3,3]"]: 1}, {index["X[1,3]"]: 1, index["C[1,2]"]: 1}]

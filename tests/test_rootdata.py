@@ -299,21 +299,25 @@ def test_odd_root_sum_independent_of_order():
 # -- delta, dims ------------------------------------------------------------
 
 
+def _split(d):
+    return positive_system(d, default_order(d))
+
+
 def test_delta_gl11():
     d = build_gl(1, 1)
-    assert delta_r(d, default_order(d), 3, 1) == (-1, 1)
-    assert delta_r(d, default_order(d), 5, 2) == (-1, 1)
+    assert delta_r(d, _split(d), 3, 1) == (-1, 1)
+    assert delta_r(d, _split(d), 5, 2) == (-1, 1)
 
 
 def test_delta_purely_even():
     d = build_gl_even(2)
     # -2 * (sum of positive even roots) at p=3, r=1
-    assert delta_r(d, default_order(d), 3, 1) == (-2, 2)
+    assert delta_r(d, _split(d), 3, 1) == (-2, 2)
 
 
 def test_delta_q2():
     d = build_q(2)
-    assert delta_r(d, default_order(d), 3, 1) == (-3, 3)
+    assert delta_r(d, _split(d), 3, 1) == (-3, 3)
 
 
 def test_dim_O_Gr_examples():
@@ -344,18 +348,18 @@ def test_pbw_equals_dim_all_families():
 
 def test_induced_dims_q2():
     d = build_q(2)
-    assert induced_dims(d, default_order(d), 3, 1, 2) == (12, 12)
+    assert induced_dims(_split(d), 3, 1, 2) == (12, 12)
 
 
 def test_induced_dims_zero_seed():
     d = build_q(2)
-    assert induced_dims(d, default_order(d), 3, 1, 0) == (0, 0)
+    assert induced_dims(_split(d), 3, 1, 0) == (0, 0)
 
 
 def test_induced_dims_gl11():
     # one positive and one negative odd root, no even roots
     d = build_gl(1, 1)
-    assert induced_dims(d, default_order(d), 3, 1, 1) == (2, 2)
+    assert induced_dims(_split(d), 3, 1, 1) == (2, 2)
 
 
 # -- json -------------------------------------------------------------------
@@ -536,10 +540,10 @@ def test_prime_power_is_bounded_before_it_is_computed():
         rootdata.prime_power(3, top + 1)
     for call in (
         lambda r: is_frobenius_unimodular(build_q(2), 3, r),
-        lambda r: delta_r(build_q(2), default_order(build_q(2)), 3, r),
+        lambda r: delta_r(build_q(2), _split(build_q(2)), 3, r),
         lambda r: dim_O_Gr(build_q(2), 3, r),
         lambda r: pbw_monomial_count(build_q(2), 3, r),
-        lambda r: induced_dims(build_q(2), default_order(build_q(2)), 3, r, 1),
+        lambda r: induced_dims(_split(build_q(2)), 3, r, 1),
         lambda r: _is_restricted_q2(3, r),
         lambda r: steinberg.frobenius_twist(steinberg.CharacterElement.monomial((1, 0)), 3, r),
     ):
@@ -550,10 +554,10 @@ def test_prime_power_is_bounded_before_it_is_computed():
 # Every caller whose modulus p**r cuts out the Frobenius kernel G_r.
 FROBENIUS_KERNEL_CALLERS = {
     "is_frobenius_unimodular": lambda p, r: is_frobenius_unimodular(build_q(2), p, r),
-    "delta_r": lambda p, r: delta_r(build_q(2), default_order(build_q(2)), p, r),
+    "delta_r": lambda p, r: delta_r(build_q(2), _split(build_q(2)), p, r),
     "dim_O_Gr": lambda p, r: dim_O_Gr(build_q(2), p, r),
     "pbw_monomial_count": lambda p, r: pbw_monomial_count(build_q(2), p, r),
-    "induced_dims": lambda p, r: induced_dims(build_q(2), default_order(build_q(2)), p, r, 1),
+    "induced_dims": lambda p, r: induced_dims(_split(build_q(2)), p, r, 1),
     "is_restricted": _is_restricted_q2,
 }
 

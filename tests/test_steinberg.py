@@ -251,6 +251,7 @@ def test_decompose_digit_congruence_and_restriction():
             except DecompositionFailure:
                 continue
             assert tuple(c % p for c in digits[0]) == tuple(c % p for c in lam)
+            assert any(digits[-1])  # the last digit is a nonzero remainder
             total = (0, 0)
             for i, digit in enumerate(digits):
                 rep = is_restricted(
@@ -259,6 +260,18 @@ def test_decompose_digit_congruence_and_restriction():
                 assert rep.verdict
                 total = (total[0] + p**i * digit[0], total[1] + p**i * digit[1])
             assert total == lam
+
+
+def test_decompose_skips_a_state_known_to_fail(monkeypatch):
+    # This search reaches a (remainder, digit budget) pair that has
+    # already failed; the memo skips it, saving 11 of 69 flatness tests.
+    d, L, order, pe, po = Q2
+    calls = []
+    flat = steinberg.is_flat
+    monkeypatch.setattr(steinberg, "is_flat", lambda *a: calls.append(a) or flat(*a))
+    digits = steinberg_decompose(d, L, order, pe, po, (-15, -39), 3, radius=1)
+    assert digits == [(-3, -3), (-1, -3), (-1, -3)]
+    assert len(calls) == 58
 
 
 def test_decompose_failure_carries_frontier():
