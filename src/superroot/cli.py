@@ -14,7 +14,9 @@ import json
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from . import hyperalg, lattice, liesuper, rootdata, steinberg
+# liesuper, steinberg and hyperalg are imported inside the verbs that run
+# them, so a process loads only the modules its verb needs.
+from . import lattice, rootdata
 from .lattice import Weight
 
 BIG = 2**53
@@ -108,10 +110,22 @@ def default_psi_odd(datum: rootdata.SuperRootDatum) -> List[Weight]:
     return [tuple(2 if k == rank - 1 else 0 for k in range(rank))]
 
 
-def load_char(text: str) -> steinberg.CharacterElement:
-    if text.startswith("@"):
-        return steinberg.char_from_json(rootdata.load_json(text[1:]))
-    return steinberg.char_from_json(rootdata.parse_json(text))
+def load_chars(texts: Sequence[str]) -> list:
+    """The characters given as JSON, inline or ``@file``, read in order.
+    One with no terms has no rank of its own: it takes the rank of the
+    first one with terms, or 0 when none has any."""
+    from . import steinberg
+
+    out = []
+    for text in texts:
+        if text.startswith("@"):
+            data = rootdata.load_json(text[1:])
+        else:
+            data = rootdata.parse_json(text)
+        empty = isinstance(data, dict) and data.get("terms") == []
+        out.append(data if empty else steinberg.char_from_json(data))
+    rank = next((c.rank for c in out if not isinstance(c, dict)), 0)
+    return [steinberg.char_from_json(c, rank) if isinstance(c, dict) else c for c in out]
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +198,8 @@ def base_setup(args):
     bad input is the one reported.  The even base is the simple roots of
     the order's split; the odd base is ``--psi-odd`` (empty for
     ``--psi-odd=``), else the family's default."""
+    from . import liesuper
+
     datum = build_datum(args)
     order, split = get_order(args, datum)
     L = liesuper.lie_algebra_for(datum)
@@ -194,6 +210,8 @@ def base_setup(args):
 
 
 def cmd_admissible(args) -> dict:
+    from . import liesuper
+
     datum, L, order, psi_even, psi_odd = base_setup(args)
     report = liesuper.check_admissible_base(
         L, datum, order, psi_even, psi_odd, mode=args.mode
@@ -209,6 +227,8 @@ def cmd_admissible(args) -> dict:
 
 
 def cmd_restricted(args) -> dict:
+    from . import steinberg
+
     report = steinberg.is_restricted(
         *base_setup(args), parse_weight(args.weight), args.p, args.r
     )
@@ -230,6 +250,8 @@ def cmd_restricted(args) -> dict:
 
 
 def cmd_decompose(args) -> dict:
+    from . import steinberg
+
     digits = steinberg.steinberg_decompose(
         *base_setup(args), parse_weight(args.weight), args.p, radius=args.radius
     )
@@ -237,6 +259,8 @@ def cmd_decompose(args) -> dict:
 
 
 def cmd_flatcheck(args) -> dict:
+    from . import steinberg
+
     datum = build_datum(args)
     weight = parse_weight(args.weight)
     flat = steinberg.is_flat(datum, args.p, weight)
@@ -244,26 +268,30 @@ def cmd_flatcheck(args) -> dict:
 
 
 def cmd_char(args) -> dict:
+    from . import steinberg
+
     if args.op in ("add", "mul"):
         if not args.a or not args.b:
             raise rootdata.ParameterError("char %s needs --a and --b" % args.op)
-        a, b = load_char(args.a), load_char(args.b)
+        a, b = load_chars([args.a, args.b])
         fn = steinberg.char_add if args.op == "add" else steinberg.char_mul
         return steinberg.char_to_json(fn(a, b))
     if args.op == "twist":
         if not args.a or args.p is None:
             raise rootdata.ParameterError("char twist needs --a and --p")
         return steinberg.char_to_json(
-            steinberg.frobenius_twist(load_char(args.a), args.p, args.r or 0)
+            steinberg.frobenius_twist(*load_chars([args.a]), args.p, args.r or 0)
         )
     # "steinberg", the one op left that argparse's choices admit.
     if not args.inputs or args.p is None:
         raise rootdata.ParameterError("char steinberg needs --inputs and --p")
-    chars = [load_char(tok) for tok in args.inputs]
+    chars = load_chars(args.inputs)
     return steinberg.char_to_json(steinberg.steinberg_character(chars, args.p))
 
 
 def cmd_verify_commutator(args) -> dict:
+    from . import hyperalg
+
     report = hyperalg.verify_commutator_formula(
         args.max_m, args.max_n, args.degree, args.p
     )

@@ -11,7 +11,7 @@ the dimension can grow (division superalgebras); callers can consult
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import List, Tuple
 
 from . import lattice
@@ -20,11 +20,8 @@ from .liesuper import LieSuperAlgebra, eval_weight_on_cartan
 from .rootdata import ParameterError, SuperRootDatum, check_characteristic
 
 
-@dataclass(frozen=True)
-class CliffordForm:
-    gram: Tuple[Tuple[int, ...], ...]
-    lam: Weight
-    char_p: int
+class CliffordForm(namedtuple("CliffordForm", "gram lam char_p")):
+    __slots__ = ()
 
     @property
     def size(self) -> int:

@@ -9,9 +9,9 @@ Cartan binomial acts by the scalar binom(a - b - shift, degree).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from .rootdata import ParameterError, check_odd_prime
 
@@ -22,18 +22,15 @@ Poly = Dict[Monomial, int]
 MAX_COMPARISONS = 250_000
 
 
-@dataclass(frozen=True)
-class DividedMonomial:
+class DividedMonomial(namedtuple("DividedMonomial", "coeff a h_binoms c")):
     """coeff * X_-^(a) * prod binom(H - shift, degree) * X_+^(c)."""
 
-    coeff: int
-    a: int
-    h_binoms: Tuple[Tuple[int, int], ...]
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a < 0 or self.c < 0 or any(d < 0 for _, d in self.h_binoms):
+    def __new__(cls, coeff, a, h_binoms, c):
+        if a < 0 or c < 0 or any(d < 0 for _, d in h_binoms):
             raise ParameterError("negative exponent in divided monomial")
+        return super().__new__(cls, coeff, a, h_binoms, c)
 
 
 def normal_order(m: int, n: int) -> Tuple[DividedMonomial, ...]:
@@ -128,12 +125,10 @@ def apply_sum(terms: Tuple[DividedMonomial, ...], poly: Poly) -> Poly:
     return {k: v for k, v in total.items() if v}
 
 
-@dataclass(frozen=True)
-class CommutatorReport:
-    ok: bool
-    checked: int
-    counterexample: Optional[Tuple[int, int, int, int]]
-    detail: str
+class CommutatorReport(
+    namedtuple("CommutatorReport", "ok checked counterexample detail")
+):
+    __slots__ = ()
 
 
 def verify_commutator_formula(

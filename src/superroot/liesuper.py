@@ -11,7 +11,7 @@ matrices have one or two entries.  Elements are sparse coordinate dicts
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from . import lattice
@@ -37,13 +37,8 @@ class DecompositionError(lattice.SuperrootError, ValueError):
     """A matrix does not lie in the span of the algebra basis."""
 
 
-@dataclass(frozen=True)
-class BasisElement:
-    index: int
-    parity: str
-    weight: Weight
-    matrix: Matrix
-    name: str
+class BasisElement(namedtuple("BasisElement", "index parity weight matrix name")):
+    __slots__ = ()
 
 
 def _matrix(entries: Mapping[Entry, int]) -> Matrix:
@@ -415,12 +410,10 @@ def subalgebra_closure(
 # Admissible bases.
 
 
-@dataclass(frozen=True)
-class AdmissibleBaseReport:
-    ok: bool
-    conditions: Tuple[Tuple[str, bool], ...]
-    failures: Tuple[str, ...]
-    mode: str
+class AdmissibleBaseReport(
+    namedtuple("AdmissibleBaseReport", "ok conditions failures mode")
+):
+    __slots__ = ()
 
     def condition(self, name: str) -> bool:
         for key, value in self.conditions:

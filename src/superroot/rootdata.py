@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import lattice
 from .lattice import Coweight, SuperrootError, Weight
@@ -109,14 +109,12 @@ def frobenius_modulus(p: int, r: int) -> int:
 _FAMILY_TEXT = re.compile(r"(gl|q|p)\(([1-9][0-9]{0,8})(?:\|([1-9][0-9]{0,8}))?\)")
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(namedtuple("Family", "kind params")):
     """A built-in family: ``kind`` "gl" with params (m, n), or "q" or "p"
     with params (n,).  Its text form ``gl(m|n)``, ``q(n)``, ``p(n)`` is
     the datum JSON's ``lie_handle``."""
 
-    kind: str
-    params: Tuple[int, ...]
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "%s(%s)" % (self.kind, "|".join(str(v) for v in self.params))
@@ -162,16 +160,20 @@ class Family:
         return {"gl": build_gl, "q": build_q, "p": build_p}[self.kind](*self.params)
 
 
-@dataclass(frozen=True)
-class SuperRootDatum:
-    rank: int
-    even_roots: Tuple[Tuple[Weight, Coweight], ...]
-    odd_roots: Tuple[Tuple[Weight, int], ...]
-    h_odd_dim: int
-    label: str  # display text only
-    family: Optional[Family] = None
+class SuperRootDatum(
+    namedtuple(
+        "SuperRootDatum",
+        "rank even_roots odd_roots h_odd_dim label family",
+        defaults=(None,),
+    )
+):
+    """Even roots are (root, coroot) pairs and odd roots (root, mult)
+    pairs; ``label`` is display text only.  Checked on construction."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(cls, rank, even_roots, odd_roots, h_odd_dim, label, family=None):
+        self = super().__new__(cls, rank, even_roots, odd_roots, h_odd_dim, label, family)
         if self.rank < 0:
             raise DatumValidationError("rank: must be nonnegative")
         if self.h_odd_dim < 0:
@@ -211,6 +213,7 @@ class SuperRootDatum:
             if root in seen_odd:
                 raise DatumValidationError("%s.root: odd root %r listed twice" % (where, root))
             seen_odd.add(root)
+        return self
 
     @property
     def even_root_weights(self) -> List[Weight]:
@@ -239,11 +242,10 @@ class SuperRootDatum:
         return out
 
 
-@dataclass(frozen=True)
-class OrderFunctional:
+class OrderFunctional(namedtuple("OrderFunctional", "values")):
     """Linear functional on X(T) (x) Q used to split the roots by sign."""
 
-    values: Tuple[Fraction, ...]
+    __slots__ = ()
 
     @staticmethod
     def from_values(values: Sequence) -> "OrderFunctional":
@@ -281,12 +283,10 @@ def default_order(datum: SuperRootDatum) -> OrderFunctional:
     return OrderFunctional.from_values([-(i + 1) for i in range(n)])
 
 
-@dataclass(frozen=True)
-class PositiveSystem:
-    even_pos: Tuple[Tuple[Weight, int], ...]
-    even_neg: Tuple[Tuple[Weight, int], ...]
-    odd_pos: Tuple[Tuple[Weight, int], ...]
-    odd_neg: Tuple[Tuple[Weight, int], ...]
+class PositiveSystem(namedtuple("PositiveSystem", "even_pos even_neg odd_pos odd_neg")):
+    """The (root, multiplicity) pairs, sorted, on each side of an order."""
+
+    __slots__ = ()
 
     @property
     def n_odd_pos(self) -> int:
@@ -422,12 +422,16 @@ def build_semidirect(even_datum: SuperRootDatum, chars: Sequence[Weight]) -> Sup
 # Unimodularity and dimension calculus.
 
 
-@dataclass(frozen=True)
-class UnimodularityReport:
-    odd_root_sum: Weight
-    per_coordinate_divisibility: Tuple[Tuple[int, int, bool], ...]
-    verdict: bool
-    modulus: Optional[int] = None  # p^r for the Frobenius check, None in char 0
+class UnimodularityReport(
+    namedtuple(
+        "UnimodularityReport",
+        "odd_root_sum per_coordinate_divisibility verdict modulus",
+        defaults=(None,),
+    )
+):
+    """``modulus`` is p^r for the Frobenius check, None in char 0."""
+
+    __slots__ = ()
 
 
 def odd_root_sum(datum: SuperRootDatum) -> Weight:
@@ -594,7 +598,7 @@ def datum_from_json(data: dict) -> SuperRootDatum:
         raise DatumValidationError("$.%s" % exc.args[0]) from exc
     if datum.family is not None and not _has_family_roots(datum, datum.family):
         raise DatumValidationError(
-            "$.lie_handle: the roots are not those of %s" % datum.family
+            "$.lie_handle: the roots are not those of %s" % (datum.family,)
         )
     return datum
 

@@ -15,13 +15,14 @@ whose every candidate digit failed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import lattice
 from .lattice import Weight
 from .liesuper import K_alpha, LieSuperAlgebra, check_admissible_base
 from .rootdata import (
+    Family,
     OrderFunctional,
     ParameterError,
     SuperRootDatum,
@@ -72,8 +73,8 @@ def is_dominant(datum: SuperRootDatum, order: OrderFunctional, lam: Weight) -> b
     return _pairs_nonnegative(lam, _positive_even_coroots(datum, order))
 
 
-def _has_flat_rule(datum: SuperRootDatum) -> bool:
-    return datum.family is not None and datum.family.kind in ("gl", "q")
+def _has_flat_rule(family: Optional[Family]) -> bool:
+    return family is not None and family.kind in ("gl", "q")
 
 
 def is_flat(datum: SuperRootDatum, p: int, lam: Weight) -> bool:
@@ -83,12 +84,14 @@ def is_flat(datum: SuperRootDatum, p: int, lam: Weight) -> bool:
     with equal neighbours divisible by p); for gl(m|n) it is blockwise
     dominance.  Other families raise.
     """
-    if not _has_flat_rule(datum):
+    # The digit search calls this per candidate: read each record field once.
+    family = datum.family
+    if not _has_flat_rule(family):
         raise UnsupportedFamilyError(
             "no flat-weight characterization for family %r" % datum.label
         )
     check_characteristic(p)
-    kind, params = datum.family.kind, datum.family.params
+    kind, params = family.kind, family.params
     if kind == "q":
         (n,) = params
         lattice.check_rank(lam, n)
@@ -114,24 +117,18 @@ def is_flat(datum: SuperRootDatum, p: int, lam: Weight) -> bool:
 # Restriction.
 
 
-@dataclass(frozen=True)
-class PerRootCheck:
-    root: Weight
-    kind: str  # "even-only" or "shared"
-    pairing: int
-    kform_value: Optional[int]
-    bound: int
-    ok: bool
+class PerRootCheck(
+    namedtuple("PerRootCheck", "root kind pairing kform_value bound ok")
+):
+    """``kind`` is "even-only" or "shared"."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RestrictionReport:
-    weight: Weight
-    p: int
-    r: int
-    per_root: Tuple[PerRootCheck, ...]
-    verdict: bool
-    weakened: bool
+class RestrictionReport(
+    namedtuple("RestrictionReport", "weight p r per_root verdict weakened")
+):
+    __slots__ = ()
 
 
 def _kform_vector(L: LieSuperAlgebra, alpha: Weight) -> Weight:
@@ -194,7 +191,7 @@ def _restriction_setup(
                 "(psi_even, psi_odd) is not an admissible base: %s"
                 % "; ".join(report.failures)
             )
-    weakened = not _has_flat_rule(datum)
+    weakened = not _has_flat_rule(datum.family)
     lam_ok = is_dominant(datum, order, lam) if weakened else is_flat(datum, p, lam)
     if not lam_ok:
         raise FlatnessError(
@@ -371,12 +368,10 @@ def steinberg_decompose(
 MAX_PRODUCT_PAIRS = 250_000
 
 
-@dataclass(frozen=True)
-class CharacterElement:
+class CharacterElement(namedtuple("CharacterElement", "rank terms")):
     """Finitely supported integer function on the weight lattice."""
 
-    rank: int
-    terms: Tuple[Tuple[Weight, int], ...]
+    __slots__ = ()
 
     @staticmethod
     def from_dict(rank: int, terms: Dict[Weight, int]) -> "CharacterElement":

@@ -601,7 +601,7 @@ def reference_decompose(
                 "(psi_even, psi_odd) is not an admissible base: %s"
                 % "; ".join(base_report.failures)
             )
-    weakened = not _has_flat_rule(datum)
+    weakened = not _has_flat_rule(datum.family)
 
     def passes_flat(w: Weight) -> bool:
         return _reference_is_dominant(datum, order, w) if weakened else is_flat(datum, p, w)

@@ -2,6 +2,8 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -145,6 +147,45 @@ def test_char_verbs(capsys):
     code, payload = run_json(capsys, "char", "--op", "mul", "--a", a, "--b", b)
     assert code == 0
     assert payload == {"terms": [{"mult": 1, "weight": [2, -3]}]}
+
+
+ZERO = '{"terms":[]}'
+
+
+def test_char_reads_back_its_own_zero(capsys):
+    x = '{"terms":[{"weight":[0,-1],"mult":-1},{"weight":[1,2],"mult":3}]}'
+    minus = '{"terms":[{"weight":[0,-1],"mult":1},{"weight":[1,2],"mult":-3}]}'
+    code, zero = run(capsys, "--json", "char", "--op", "add", "--a", x, "--b", minus)
+    assert (code, zero) == (0, ZERO + "\n")
+    for op, a, b, want in [
+        ("add", x, ZERO, x), ("add", ZERO, x, x), ("mul", x, ZERO, ZERO),
+        ("mul", ZERO, x, ZERO), ("add", ZERO, ZERO, ZERO), ("mul", ZERO, ZERO, ZERO),
+    ]:
+        code, payload = run_json(capsys, "char", "--op", op, "--a", a, "--b", b)
+        assert code == 0 and payload == json.loads(want), (op, a, b)
+    code, payload = run_json(capsys, "char", "--op", "twist", "--a", ZERO, "--p", "3", "--r", "2")
+    assert code == 0 and payload == {"terms": []}
+    for inputs in ([x, ZERO], [ZERO, x], [ZERO], [x, x, ZERO, x]):
+        code, payload = run_json(capsys, "char", "--op", "steinberg", "--inputs", *inputs, "--p", "5")
+        assert code == 0 and payload == {"terms": []}, inputs
+
+
+@pytest.mark.parametrize("argv, error, message", [
+    (["--op", "add", "--a", "{}", "--b", "{"],
+     "ParameterError", "character JSON must be an object with 'terms'"),
+    (["--op", "add", "--a", ZERO, "--b", '{"terms":[{"weight":[1],"mult":1.5}]}'],
+     "ParameterError", "terms[0]: expected {weight: [int], mult: int}"),
+    (["--op", "twist", "--a", ZERO, "--p", "4"], "ParameterError", "p must be an odd prime, got 4"),
+    (["--op", "steinberg", "--inputs", ZERO, ZERO, "--p", "9"],
+     "ParameterError", "p must be an odd prime, got 9"),
+    (["--op", "mul", "--a", '{"terms":[{"weight":[1],"mult":1}]}',
+      "--b", '{"terms":[{"weight":[1,2],"mult":1}]}'],
+     "DimensionMismatch", "characters of rank 1 and 2"),
+], ids=["a-before-b", "bad-b-after-empty-a", "twist-bad-p", "steinberg-bad-p", "rank-mismatch"])
+def test_char_errors_keep_their_order(capsys, argv, error, message):
+    code, payload = run_json(capsys, "char", *argv)
+    assert code == 1
+    assert payload == {"error": {"type": error, "message": message}}
 
 
 def test_verify_commutator_verb(capsys):
@@ -596,3 +637,54 @@ def test_order_work_per_verb(capsys, monkeypatch, argv, splits, evals):
     code, _payload = run_json(capsys, *argv)
     assert code == 0
     assert counts == {"splits": splits, "evals": evals}
+
+
+# The superroot modules a cold process loads for each verb: the package,
+# lattice and rootdata, and what the verb itself runs.
+BASE_MODULES = ["superroot", "superroot.cli", "superroot.lattice", "superroot.rootdata"]
+STEINBERG_MODULES = BASE_MODULES + ["superroot.liesuper", "superroot.steinberg"]
+VERB_MODULES = {
+    "describe": BASE_MODULES,
+    "unimodular": BASE_MODULES,
+    "frobenius": BASE_MODULES,
+    "delta": BASE_MODULES,
+    "dims": BASE_MODULES,
+    "admissible": BASE_MODULES + ["superroot.liesuper"],
+    "restricted": STEINBERG_MODULES,
+    "decompose": STEINBERG_MODULES,
+    "flatcheck": STEINBERG_MODULES,
+    "char": STEINBERG_MODULES,
+    "verify-commutator": BASE_MODULES + ["superroot.hyperalg"],
+}
+REPORT_MODULES = """
+import json, sys
+from superroot import cli
+code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "superroot"),
+                  "dataclasses" in sys.modules]), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "verb, code", [(verb, 0) for verb in VERB_MODULES] + [("decompose", 1)],
+    ids=list(VERB_MODULES) + ["decompose-error"],
+)
+def test_cold_process_answers_and_loads_only_its_modules(verb, code):
+    with open(os.path.join(os.path.dirname(__file__), "golden", "cli.json"), encoding="utf-8") as fh:
+        entry = next(
+            e for e in json.load(fh)["entries"]
+            if not e["files"] and e["code"] == code and e["argv"][1] == verb
+        )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rootdata.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "superroot.cli"] + entry["argv"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (entry["code"], entry["stdout"])
+    proc = subprocess.run(
+        [sys.executable, "-c", REPORT_MODULES, json.dumps(entry["argv"])],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.stdout == entry["stdout"]
+    assert json.loads(proc.stderr) == [entry["code"], sorted(VERB_MODULES[verb]), False]
