@@ -36,15 +36,16 @@ def _decimal(value: int) -> str:
 
 
 def _jsonable(value):
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return _decimal(value) if abs(value) >= BIG else value
+    """The payload with tuples as lists and integers of 2^53 or more as
+    decimal strings; anything else is returned as it is, so a value JSON
+    cannot hold makes ``json.dumps`` raise."""
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    return str(value)
+    if isinstance(value, int) and abs(value) >= BIG:
+        return _decimal(value)
+    return value
 
 
 def emit(payload: dict, as_json: bool) -> None:
@@ -56,10 +57,23 @@ def emit(payload: dict, as_json: bool) -> None:
         print("%-*s  %s" % (width, key, json.dumps(payload[key], sort_keys=True)))
 
 
+def parse_int(text: str) -> int:
+    """An optional sign and ASCII digits, the one integer syntax of every
+    flag and weight; ``int`` alone would also take spaces, underscores and
+    non-ASCII digits, which no JSON input admits."""
+    digits = text[1:] if text[:1] in "+-" else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # beyond sys.get_int_max_str_digits()
+            pass
+    raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+
+
 def parse_weight(text: str) -> Weight:
     try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
+        return tuple(parse_int(tok) for tok in text.split(","))
+    except argparse.ArgumentTypeError as exc:
         raise rootdata.ParameterError("cannot parse weight %r" % text) from exc
 
 
@@ -71,7 +85,7 @@ def build_datum(args) -> rootdata.SuperRootDatum:
     if args.family == "file":
         if not args.file:
             raise rootdata.ParameterError("--family file needs --file")
-        return rootdata.load_datum(args.file)
+        return rootdata.datum_from_json(rootdata.load_json(args.file))
     gl = args.family == "gl"
     params = (args.m, args.n) if gl else (args.n,)
     if None in params:
@@ -97,10 +111,6 @@ def get_order(
 
 def default_psi_odd(datum: rootdata.SuperRootDatum) -> List[Weight]:
     family = datum.family
-    if family is None:
-        raise rootdata.ParameterError(
-            "no default odd base for %r; pass --psi-odd" % datum.label
-        )
     rank = datum.rank
     if family.kind == "gl":
         m = family.params[0]
@@ -150,7 +160,7 @@ def cmd_unimodular(args) -> dict:
         report = rootdata.is_unimodular_char0(datum)
     return {
         "verdict": report.verdict,
-        "odd_root_sum": list(report.odd_root_sum),
+        "odd_root_sum": report.odd_root_sum,
         "per_coordinate": [
             {"index": i, "value": v, "divides": ok}
             for i, v, ok in report.per_coordinate_divisibility
@@ -163,7 +173,7 @@ def cmd_frobenius(args) -> dict:
     datum = build_datum(args)
     return {
         "all_unimodular": rootdata.all_frobenius_unimodular(datum),
-        "odd_root_sum": list(rootdata.odd_root_sum(datum)),
+        "odd_root_sum": rootdata.odd_root_sum(datum),
     }
 
 
@@ -171,7 +181,7 @@ def cmd_delta(args) -> dict:
     datum = build_datum(args)
     _order, split = get_order(args, datum)
     value = rootdata.delta_r(datum, split, args.p, args.r)
-    return {"delta_r": list(value), "p": args.p, "r": args.r}
+    return {"delta_r": value, "p": args.p, "r": args.r}
 
 
 def cmd_dims(args) -> dict:
@@ -219,10 +229,10 @@ def cmd_admissible(args) -> dict:
     return {
         "ok": report.ok,
         "mode": report.mode,
-        "conditions": {name: ok for name, ok in report.conditions},
-        "failures": list(report.failures),
-        "psi_even": [list(w) for w in psi_even],
-        "psi_odd": [list(w) for w in sorted(set(psi_odd))],
+        "conditions": dict(report.conditions),
+        "failures": report.failures,
+        "psi_even": psi_even,
+        "psi_odd": sorted(set(psi_odd)),
     }
 
 
@@ -237,7 +247,7 @@ def cmd_restricted(args) -> dict:
         "weakened": report.weakened,
         "per_root": [
             {
-                "root": list(c.root),
+                "root": c.root,
                 "class": c.kind,
                 "pairing": c.pairing,
                 "kform_value": c.kform_value,
@@ -255,7 +265,7 @@ def cmd_decompose(args) -> dict:
     digits = steinberg.steinberg_decompose(
         *base_setup(args), parse_weight(args.weight), args.p, radius=args.radius
     )
-    return {"digits": [list(d) for d in digits], "p": args.p}
+    return {"digits": digits, "p": args.p}
 
 
 def cmd_flatcheck(args) -> dict:
@@ -264,7 +274,7 @@ def cmd_flatcheck(args) -> dict:
     datum = build_datum(args)
     weight = parse_weight(args.weight)
     flat = steinberg.is_flat(datum, args.p, weight)
-    return {"flat": flat, "weight": list(weight), "p": args.p}
+    return {"flat": flat, "weight": weight, "p": args.p}
 
 
 def cmd_char(args) -> dict:
@@ -292,15 +302,9 @@ def cmd_char(args) -> dict:
 def cmd_verify_commutator(args) -> dict:
     from . import hyperalg
 
-    report = hyperalg.verify_commutator_formula(
+    return hyperalg.verify_commutator_formula(
         args.max_m, args.max_n, args.degree, args.p
-    )
-    return {
-        "ok": report.ok,
-        "checked": report.checked,
-        "counterexample": list(report.counterexample) if report.counterexample else None,
-        "detail": report.detail,
-    }
+    )._asdict()
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +314,8 @@ def cmd_verify_commutator(args) -> dict:
 def _add_family_flags(sub, order: bool = False) -> None:
     """The family flags, and ``--order`` for the verbs that read it."""
     sub.add_argument("--family", required=True, choices=["gl", "q", "p", "file"])
-    sub.add_argument("--m", type=int)
-    sub.add_argument("--n", type=int)
+    sub.add_argument("--m", type=parse_int)
+    sub.add_argument("--n", type=parse_int)
     sub.add_argument("--file")
     if order:
         sub.add_argument(
@@ -333,8 +337,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("unimodular", help="char-0 or Frobenius-kernel verdict")
     _add_family_flags(sub)
-    sub.add_argument("--p", type=int)
-    sub.add_argument("--r", type=int)
+    sub.add_argument("--p", type=parse_int)
+    sub.add_argument("--r", type=parse_int)
     sub.set_defaults(fn=cmd_unimodular)
 
     sub = subs.add_parser("frobenius", help="are all Frobenius kernels unimodular")
@@ -343,14 +347,14 @@ def make_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("delta", help="torus weight of the ind/coind twist")
     _add_family_flags(sub, order=True)
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--r", type=int, required=True)
+    sub.add_argument("--p", type=parse_int, required=True)
+    sub.add_argument("--r", type=parse_int, required=True)
     sub.set_defaults(fn=cmd_delta)
 
     sub = subs.add_parser("dims", help="coordinate-algebra dimension and PBW count")
     _add_family_flags(sub)
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--r", type=int, required=True)
+    sub.add_argument("--p", type=parse_int, required=True)
+    sub.add_argument("--r", type=parse_int, required=True)
     sub.set_defaults(fn=cmd_dims)
 
     sub = subs.add_parser("admissible", help="check an admissible base")
@@ -363,22 +367,22 @@ def make_parser() -> argparse.ArgumentParser:
     _add_family_flags(sub, order=True)
     sub.add_argument("--psi-odd", dest="psi_odd")
     sub.add_argument("--weight", required=True)
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--r", type=int, required=True)
+    sub.add_argument("--p", type=parse_int, required=True)
+    sub.add_argument("--r", type=parse_int, required=True)
     sub.set_defaults(fn=cmd_restricted)
 
     sub = subs.add_parser("decompose", help="base-p digit decomposition of a weight")
     _add_family_flags(sub, order=True)
     sub.add_argument("--psi-odd", dest="psi_odd")
     sub.add_argument("--weight", required=True)
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--radius", type=int)
+    sub.add_argument("--p", type=parse_int, required=True)
+    sub.add_argument("--radius", type=parse_int)
     sub.set_defaults(fn=cmd_decompose)
 
     sub = subs.add_parser("flatcheck", help="flat-weight membership for gl/q")
     _add_family_flags(sub)
     sub.add_argument("--weight", required=True)
-    sub.add_argument("--p", type=int, required=True)
+    sub.add_argument("--p", type=parse_int, required=True)
     sub.set_defaults(fn=cmd_flatcheck)
 
     sub = subs.add_parser("char", help="character ring operations")
@@ -386,17 +390,17 @@ def make_parser() -> argparse.ArgumentParser:
     sub.add_argument("--a", help="character JSON (inline or @file)")
     sub.add_argument("--b")
     sub.add_argument("--inputs", nargs="*")
-    sub.add_argument("--p", type=int)
-    sub.add_argument("--r", type=int)
+    sub.add_argument("--p", type=parse_int)
+    sub.add_argument("--r", type=parse_int)
     sub.set_defaults(fn=cmd_char)
 
     sub = subs.add_parser(
         "verify-commutator", help="operator sweep of the reordering identity"
     )
-    sub.add_argument("--max-m", dest="max_m", type=int, default=4)
-    sub.add_argument("--max-n", dest="max_n", type=int, default=4)
-    sub.add_argument("--degree", type=int, default=12)
-    sub.add_argument("--p", type=int, default=0)
+    sub.add_argument("--max-m", dest="max_m", type=parse_int, default=4)
+    sub.add_argument("--max-n", dest="max_n", type=parse_int, default=4)
+    sub.add_argument("--degree", type=parse_int, default=12)
+    sub.add_argument("--p", type=parse_int, default=0)
     sub.set_defaults(fn=cmd_verify_commutator)
 
     return parser

@@ -23,10 +23,6 @@ from .rootdata import ParameterError, SuperRootDatum, check_characteristic
 class CliffordForm(namedtuple("CliffordForm", "gram lam char_p")):
     __slots__ = ()
 
-    @property
-    def size(self) -> int:
-        return len(self.gram)
-
 
 def gram_form(L: LieSuperAlgebra, lam: Weight, char_p: int = 0) -> CliffordForm:
     """Gram matrix (s,t) -> lam([K_s, K_t]) on the odd Cartan basis,

@@ -646,6 +646,3 @@ def load_json(path: str):
             raise ParameterError("%s: %s" % (path, exc)) from None
     return parse_json(text)
 
-
-def load_datum(path: str) -> SuperRootDatum:
-    return datum_from_json(load_json(path))

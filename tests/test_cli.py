@@ -335,6 +335,12 @@ def _datum_with(**changes):
     return dict(datum_to_json(build_q(2)), **changes)
 
 
+NOT_ADMISSIBLE = (
+    "(psi_even, psi_odd) is not an admissible base: "
+    "generation: root (2, 0) is not a signed combination of the base"
+)
+
+
 def _line_char(n):
     """Character JSON with the n rank-1 terms e^0, ..., e^(n-1)."""
     return json.dumps({"terms": [{"weight": [w], "mult": 1} for w in range(n)]})
@@ -382,13 +388,62 @@ def _line_char(n):
          "ParameterError", "3**100000000 exceeds the 32768-bit limit on p**r"),
         (["flatcheck", "--family", "q", "--n", "2", "--p", "9", "--weight", "1,0"],
          "ParameterError", "p must be 0 or an odd prime, got 9"),
+        (["describe", "--family", "file", "--file",
+          _datum_with(even_roots=[{"root": [1], "coroot": [1, -1]}])],
+         "DatumValidationError", "$.even_roots[0]: wrong length"),
+        (["describe", "--family", "file", "--file",
+          _datum_with(even_roots=[{"root": [0, 0], "coroot": [1, -1]}])],
+         "DatumValidationError", "$.even_roots[0].root: even root must be nonzero"),
+        (["describe", "--family", "file", "--file",
+          _datum_with(even_roots=[{"root": [1, -1], "coroot": [1, -1]}] * 2)],
+         "DatumValidationError", "$.even_roots[1].root: duplicate even root (1, -1)"),
+        (["describe", "--family", "file", "--file",
+          _datum_with(odd_roots=[{"root": [1], "mult": 1}])],
+         "DatumValidationError", "$.odd_roots[0].root: wrong length"),
+        (["describe", "--family", "file", "--file",
+          _datum_with(odd_roots=[{"root": [1, -1], "mult": 0}])],
+         "DatumValidationError", "$.odd_roots[0].mult: must be >= 1"),
+        (["describe", "--family", "file", "--file", _datum_with(odd_roots=[[1, -1]])],
+         "DatumValidationError", "$.odd_roots[0]: expected {root, mult}"),
+        # Its counts are those of p(1), which build_p refuses.
+        (["describe", "--family", "file", "--file",
+          {"rank": 1, "label": "x", "even_roots": [], "odd_roots": [{"root": [2], "mult": 1}],
+           "h_odd_dim": 0, "lie_handle": "p(1)"}],
+         "DatumValidationError", "$.lie_handle: the roots are not those of p(1)"),
+        (["delta", "--family", "q", "--n", "2", "--p", "3", "--r", "1", "--order=1,2,3"],
+         "DimensionMismatch", "functional of rank 3 applied to (1, -1)"),
+        (["char", "--op", "add", "--a", '{"terms":[]}'],
+         "ParameterError", "char add needs --a and --b"),
+        (["char", "--op", "twist", "--a", CHAR_1],
+         "ParameterError", "char twist needs --a and --p"),
+        (["restricted", "--family", "p", "--n", "2", "--order=-1,-2", "--psi-odd=-1,-1",
+          "--weight", "1,0", "--p", "3", "--r", "1"],
+         "ParameterError", NOT_ADMISSIBLE),
+        (["decompose", "--family", "p", "--n", "2", "--order=-1,-2", "--psi-odd=-1,-1",
+          "--weight", "1,0", "--p", "3"],
+         "ParameterError", NOT_ADMISSIBLE),
+        (["flatcheck", "--family", "q", "--n", "2", "--p", "3", "--weight=1_0,2"],
+         "ParameterError", "cannot parse weight '1_0,2'"),
+        (["flatcheck", "--family", "q", "--n", "2", "--p", "3", "--weight= 1,2"],
+         "ParameterError", "cannot parse weight ' 1,2'"),
+        (["flatcheck", "--family", "q", "--n", "2", "--p", "3", "--weight=1,2 "],
+         "ParameterError", "cannot parse weight '1,2 '"),
+        (["flatcheck", "--family", "q", "--n", "2", "--p", "3", "--weight=\u0661,2"],
+         "ParameterError", "cannot parse weight '\u0661,2'"),
+        (["admissible", "--family", "q", "--n", "2", "--psi-odd=1_0,-1"],
+         "ParameterError", "cannot parse weight '1_0,-1'"),
     ],
     ids=[
         "order-zero-division", "order-not-rational", "order-empty", "even-roots-not-list",
         "odd-roots-not-list", "rank-bool", "h-odd-dim-bool", "mult-bool", "root-entry-bool",
         "terms-not-list", "weight-float", "weight-string", "char-mult-bool",
         "dims-beyond-str-limit", "twist-beyond-str-limit", "twist-huge-r",
-        "dims-huge-r", "flatcheck-odd-composite-p",
+        "dims-huge-r", "flatcheck-odd-composite-p", "even-root-wrong-length",
+        "even-root-zero", "even-root-duplicate", "odd-root-wrong-length", "odd-mult-zero",
+        "odd-root-not-object", "handle-p(1)", "order-wrong-rank", "char-add-without-b",
+        "char-twist-without-p", "restricted-not-admissible", "decompose-not-admissible",
+        "weight-underscore", "weight-leading-space", "weight-trailing-space",
+        "weight-arabic-indic-digit", "psi-odd-underscore",
     ],
 )
 def test_malformed_request_is_a_structured_error(capsys, tmp_path, argv, error, message):
@@ -548,6 +603,39 @@ def test_lone_double_dash_value_is_a_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["describe", "--family", "q", "--n", " 2"], " 2"),
+        (["describe", "--family", "q", "--n", "0_2"], "0_2"),
+        (["describe", "--family", "q", "--n", "2 "], "2 "),
+        (["dims", "--family", "q", "--n", "2", "--p", "\u0663", "--r", "1"], "\u0663"),
+        (["dims", "--family", "q", "--n", "2", "--p", "3", "--r", "+-1"], "+-1"),
+        (["decompose", "--family", "q", "--n", "2", "--p", "3", "--weight", "1,0",
+          "--radius", "1_0"], "1_0"),
+        (["verify-commutator", "--degree", "\uff11"], "\uff11"),
+        (["char", "--op", "twist", "--a", '{"terms":[]}', "--p", "3", "--r", "1.0"], "1.0"),
+        (["verify-commutator", "--degree", "1" * 5000], "1" * 5000),
+    ],
+    ids=["leading-space", "underscore", "trailing-space", "arabic-indic-digit", "two-signs",
+         "radius-underscore", "fullwidth-digit", "decimal-point", "beyond-str-limit"],
+)
+def test_integer_flags_take_only_sign_and_ascii_digits(capsys, argv, value):
+    # JSON writes an integer as an optional sign and ASCII digits; int()
+    # alone would also read spaces, underscores and other scripts' digits.
+    with pytest.raises(SystemExit) as exc:
+        main(["--json"] + argv)
+    assert exc.value.code == 2
+    flag = argv[argv.index(value) - 1]
+    assert "argument %s: invalid int value: %r" % (flag, value) in capsys.readouterr().err
+
+
+def test_signed_ascii_integers_are_read(capsys):
+    argv = ["decompose", "--family", "gl", "--m", "+1", "--n", "1", "--p", "+3",
+            "--weight=+4,-2", "--psi-odd=+1,-1"]
+    assert run_json(capsys, *argv) == (0, {"digits": [[1, 1], [1, -1]], "p": 3})
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["describe", "--family", "gl", "--m", "1", "--n", "1"],
@@ -584,18 +672,26 @@ def readme_cli_examples():
 
 
 def test_readme_cli_examples_run(capsys):
+    # A comment under an example is its output, each "..." standing for
+    # any text.
     examples = readme_cli_examples()
     assert len(examples) == 10
-    exact = 0
+    checked = 0
     for line, comment in examples:
-        argv = shlex.split(line)[1:]
-        assert main(argv) == 0, line
+        assert main(shlex.split(line)[1:]) == 0, line
         out = capsys.readouterr().out
-        verb = next(tok for tok in argv if not tok.startswith("-"))
-        if verb in ("dims", "decompose"):  # their comments are complete
-            assert out == comment + "\n", line
-            exact += 1
-    assert exact == 2
+        if comment is not None:
+            pattern = ".*".join(re.escape(part) for part in comment.split("..."))
+            assert re.fullmatch(pattern + "\n", out), line
+            checked += 1
+    assert checked == 4
+
+
+def test_readme_library_quick_start_runs(capsys):
+    with open(README, encoding="utf-8") as fh:
+        block = re.search(r"## Library quick start\n\n```python\n(.*?)```", fh.read(), re.S)[1]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "False\n[(1, -2)]\n"
 
 
 @pytest.mark.parametrize(

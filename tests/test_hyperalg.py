@@ -143,3 +143,18 @@ def test_binom_int_is_the_falling_factorial_quotient():
             assert falling % factorial(k) == 0
             assert _binom_int(top, k) == falling // factorial(k), (top, k)
         assert _binom_int(top, -1) == 0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: normal_order(-1, 0), "exponents must be nonnegative"),
+        (lambda: bw_multiply(-1, 0), "exponents must be nonnegative"),
+        (lambda: lucas_binom(-1, 0, 3), "lucas_binom needs nonnegative arguments"),
+    ],
+    ids=["normal-order", "bw-multiply", "lucas-binom"],
+)
+def test_negative_arguments_are_refused(call, message):
+    with pytest.raises(ParameterError) as err:
+        call()
+    assert err.type is ParameterError and str(err.value) == message

@@ -179,3 +179,18 @@ def test_solve_refuses_rows_out_of_echelon_form(rows):
 def test_solve_checks_the_length():
     with pytest.raises(DimensionMismatch):
         solve((1, 2, 3), [(1, 0)])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: lattice.add((1, 2), (1,)), "cannot add (1, 2) and (1,)"),
+        (lambda: lattice.sub((1, 2), (1,)), "cannot subtract (1, 2) and (1,)"),
+        (lambda: hnf([[1, 2], [1]]), "ragged rows in hnf input"),
+    ],
+    ids=["add", "sub", "hnf-ragged"],
+)
+def test_unequal_lengths_are_refused(call, message):
+    with pytest.raises(DimensionMismatch) as err:
+        call()
+    assert err.type is DimensionMismatch and str(err.value) == message

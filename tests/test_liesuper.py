@@ -836,3 +836,30 @@ def _typed_outcome(decompose, *args):
 def test_decompose_matches_rebuilding_reference(request):
     L, mat = request
     assert _typed_outcome(L.decompose, mat) == _typed_outcome(oracles.rebuild_decompose, L, mat)
+
+
+def _gl11_check(**kwargs):
+    d = build_gl(1, 1)
+    return check_admissible_base(
+        gl_superalgebra(1, 1), d, default_order(d), [], default_psi_odd(d), **kwargs
+    )
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: gl_superalgebra(0, 1), ParameterError, "gl(m|n) requires m, n >= 1"),
+        (lambda: q_superalgebra(0), ParameterError, "q(n) requires n >= 1"),
+        (lambda: p_superalgebra(1), ParameterError, "p(n) requires n >= 2"),
+        (lambda: gl_superalgebra(1, 1).even_root_vector((0, 0)), ParameterError,
+         "expected a one-dimensional even root space for (0, 0), found 2"),
+        (lambda: _gl11_check().condition("x"), KeyError, "'x'"),
+        (lambda: _gl11_check(mode="x"), ParameterError, "mode must be 'assisted' or 'strict'"),
+    ],
+    ids=["gl(0|1)", "q(0)", "p(1)", "even-root-vector-of-zero", "unknown-condition",
+         "unknown-mode"],
+)
+def test_bad_requests_are_refused(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert err.type is error and str(err.value) == message

@@ -624,3 +624,19 @@ def test_is_odd_prime_refuses_beyond_its_limit():
     with pytest.raises(ParameterError, match="for the primality test"):
         rootdata.check_odd_prime(top + 2)
     assert not rootdata.is_odd_prime(top + 1)  # even: no test needed
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: build_gl(1, 1).coroot_of((5, 5)), "(5, 5) is not an even root of gl(1|1)"),
+        (lambda: build_gl_even(0), "build_gl_even requires n >= 1"),
+        (lambda: induced_dims(positive_system(build_gl(1, 1), default_order(build_gl(1, 1))),
+                              3, 1, -1), "dim_u_lambda must be nonnegative"),
+    ],
+    ids=["coroot-of-non-root", "gl-even-0", "induced-negative-seed"],
+)
+def test_bad_requests_are_refused(call, message):
+    with pytest.raises(ParameterError) as err:
+        call()
+    assert err.type is ParameterError and str(err.value) == message

@@ -583,3 +583,18 @@ def test_flat_and_gram_share_the_characteristic_check(p):
         is_flat(build_q(2), p, (1, 0))
     with pytest.raises(ParameterError, match=r"^char_p must be 0 or an odd prime, got %d$" % p):
         gram_form(q_superalgebra(2), (1, 0), p)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: frobenius_twist(CharacterElement.monomial((1, -1)), 3, -1),
+         "twist exponent must be >= 0"),
+        (lambda: steinberg_character([], 3), "need at least one factor"),
+    ],
+    ids=["twist-negative-r", "steinberg-no-factor"],
+)
+def test_bad_character_requests_are_refused(call, message):
+    with pytest.raises(ParameterError) as err:
+        call()
+    assert err.type is ParameterError and str(err.value) == message
