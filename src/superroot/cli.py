@@ -28,13 +28,6 @@ def _too_long() -> rootdata.ParameterError:
     )
 
 
-def _decimal(value: int) -> str:
-    try:
-        return str(value)
-    except ValueError:  # beyond sys.get_int_max_str_digits()
-        raise _too_long() from None
-
-
 def _jsonable(value):
     """The payload with tuples as lists and integers of 2^53 or more as
     decimal strings; anything else is returned as it is, so a value JSON
@@ -44,7 +37,10 @@ def _jsonable(value):
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, int) and abs(value) >= BIG:
-        return _decimal(value)
+        try:
+            return str(value)
+        except ValueError:  # beyond sys.get_int_max_str_digits()
+            raise _too_long() from None
     return value
 
 

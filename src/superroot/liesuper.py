@@ -247,9 +247,7 @@ def _name(letter: str, i: int, j: int, diagonal: str = "") -> str:
 
 
 def gl_superalgebra(m: int, n: int) -> LieSuperAlgebra:
-    if m < 1 or n < 1:
-        raise ParameterError("gl(m|n) requires m, n >= 1")
-    family = Family("gl", (m, n)).within_limit()
+    family = Family("gl", (m, n)).checked("gl(m|n)")
     size = m + n
     cells = [(i, j) for i in range(size) for j in range(size)]
     basis = [
@@ -260,9 +258,7 @@ def gl_superalgebra(m: int, n: int) -> LieSuperAlgebra:
 
 
 def q_superalgebra(n: int) -> LieSuperAlgebra:
-    if n < 1:
-        raise ParameterError("q(n) requires n >= 1")
-    family = Family("q", (n,)).within_limit()
+    family = Family("q", (n,)).checked("q(n)")
     cells = [(i, j) for i in range(n) for j in range(n)]
     basis = [
         (EVEN, _name("X", i, j, "H"), {(i, j): 1, (n + i, n + j): 1}) for i, j in cells
@@ -274,9 +270,7 @@ def q_superalgebra(n: int) -> LieSuperAlgebra:
 
 
 def p_superalgebra(n: int) -> LieSuperAlgebra:
-    if n < 2:
-        raise ParameterError("p(n) requires n >= 2")
-    family = Family("p", (n,)).within_limit()
+    family = Family("p", (n,)).checked("p(n)")
     cells = [(i, j) for i in range(n) for j in range(n)]
     basis = [
         (EVEN, _name("X", i, j, "H"), {(i, j): 1, (n + j, n + i): -1}) for i, j in cells
@@ -487,7 +481,7 @@ def _cone_search(
     which the order is positive, by :func:`_cone_member`: the fallback for
     a dependent base.  The order is scaled to integers once for the
     search's budgets; positive scaling keeps every comparison of order
-    values."""
+    values.  A search deeper than the recursion limit is refused."""
     den = math.lcm(*(v.denominator for v in order.values))
     scaled = [v.numerator * (den // v.denominator) for v in order.values]
 
@@ -496,7 +490,17 @@ def _cone_search(
 
     psis = [(psi, value(psi)) for psi in base]
     memo: Dict[Weight, bool] = {}
-    return lambda target: _cone_member(target, value(target), psis, memo)
+
+    def member(target: Weight) -> bool:
+        try:
+            return _cone_member(target, value(target), psis, memo)
+        except RecursionError:
+            raise ParameterError(
+                "the cone search is too deep: a root's order value is too many "
+                "times a base element's"
+            ) from None
+
+    return member
 
 
 def check_admissible_base(

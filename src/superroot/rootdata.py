@@ -83,11 +83,6 @@ def check_characteristic(p: int, name: str = "p") -> None:
         raise ParameterError("%s must be 0 or an odd prime, got %r" % (name, p))
 
 
-def check_positive(r: int) -> None:
-    if r < 1:
-        raise ParameterError("r must be >= 1, got %r" % (r,))
-
-
 def prime_power(p: int, r: int) -> int:
     """p**r for r >= 0, refused before it is computed when it would have
     more than MAX_POWER_BITS bits."""
@@ -102,9 +97,13 @@ def frobenius_modulus(p: int, r: int) -> int:
     """The modulus p**r cutting out the r-th Frobenius kernel: p must be
     an odd prime and r >= 1, checked in that order before the power."""
     check_odd_prime(p)
-    check_positive(r)
+    if r < 1:
+        raise ParameterError("r must be >= 1, got %r" % (r,))
     return prime_power(p, r)
 
+
+# Each kind's parameter names, as refusals print them, and least value.
+_LEAST = {"gl": ("m, n", 1), "q": ("n", 1), "p": ("n", 2)}
 
 _FAMILY_TEXT = re.compile(r"(gl|q|p)\(([1-9][0-9]{0,8})(?:\|([1-9][0-9]{0,8}))?\)")
 
@@ -139,24 +138,18 @@ class Family(namedtuple("Family", "kind params")):
     def too_large(self) -> str:
         return "%s has rank %d, above the limit of %d" % (self, self.rank, MAX_RANK)
 
-    @property
-    def shape(self) -> Tuple[int, int, int]:
-        """Rank and the numbers of even and of odd roots of the built datum."""
-        if self.kind == "gl":
-            m, n = self.params
-            return m + n, m * (m - 1) + n * (n - 1), 2 * m * n
-        (n,) = self.params
-        return n, n * (n - 1), n * n if self.kind == "p" else n * (n - 1)
-
-    def within_limit(self) -> "Family":
-        """This family; a rank above MAX_RANK raises ParameterError."""
+    def checked(self, maker: str) -> "Family":
+        """This family; a parameter below the kind's least value, then a
+        rank above MAX_RANK, raises ParameterError naming ``maker``."""
+        names, least = _LEAST[self.kind]
+        if min(self.params) < least:
+            raise ParameterError("%s requires %s >= %d" % (maker, names, least))
         if self.rank > MAX_RANK:
             raise ParameterError(self.too_large())
         return self
 
     def build(self) -> "SuperRootDatum":
-        """The family's datum; a rank above MAX_RANK is refused first."""
-        self.within_limit()
+        """The family's datum, from its builder."""
         return {"gl": build_gl, "q": build_q, "p": build_p}[self.kind](*self.params)
 
 
@@ -242,6 +235,9 @@ class SuperRootDatum(
         return out
 
 
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 class OrderFunctional(namedtuple("OrderFunctional", "values")):
     """Linear functional on X(T) (x) Q used to split the roots by sign."""
 
@@ -249,12 +245,16 @@ class OrderFunctional(namedtuple("OrderFunctional", "values")):
 
     @staticmethod
     def from_values(values: Sequence) -> "OrderFunctional":
-        """Values as ints, Fractions or rational text such as "-3/2"."""
+        """Values as ints, Fractions or text of a sign, ASCII digits and
+        optionally "/" and ASCII digits ("-3/2"); no bool, float or other."""
         out = []
         for v in values:
+            text = isinstance(v, str) and _RATIONAL_TEXT.fullmatch(v)
             try:
+                if not (text or is_json_int(v) or isinstance(v, Fraction)):
+                    raise ValueError
                 out.append(Fraction(v))
-            except (ValueError, ZeroDivisionError, OverflowError):
+            except (ValueError, ZeroDivisionError):
                 raise ParameterError(
                     "order value %r is not a rational number" % (v,)
                 ) from None
@@ -343,8 +343,7 @@ def _type_a_roots(rank: int) -> List[Tuple[int, int, Weight]]:
 
 def build_gl(m: int, n: int) -> SuperRootDatum:
     """General linear family gl(m|n): cross-block differences are odd."""
-    if m < 1 or n < 1:
-        raise ParameterError("build_gl requires m, n >= 1")
+    family = Family("gl", (m, n)).checked("build_gl")
     even: List[Tuple[Weight, Coweight]] = []
     odd: List[Tuple[Weight, int]] = []
     for i, j, root in _type_a_roots(m + n):
@@ -352,24 +351,20 @@ def build_gl(m: int, n: int) -> SuperRootDatum:
             even.append((root, root))
         else:
             odd.append((root, 1))
-    family = Family("gl", (m, n))
     return SuperRootDatum(m + n, tuple(even), tuple(odd), 0, str(family), family)
 
 
 def build_q(n: int) -> SuperRootDatum:
     """Queer family q(n): even and odd roots coincide, odd Cartan of dim n."""
-    if n < 1:
-        raise ParameterError("build_q requires n >= 1")
+    family = Family("q", (n,)).checked("build_q")
     roots = [root for _, _, root in _type_a_roots(n)]
-    family = Family("q", (n,))
     even = tuple((r, r) for r in roots)
     return SuperRootDatum(n, even, tuple((r, 1) for r in roots), n, str(family), family)
 
 
 def build_p(n: int) -> SuperRootDatum:
     """Periplectic family p(n): odd roots +-(li+lj) for i<j and 2*lt."""
-    if n < 2:
-        raise ParameterError("build_p requires n >= 2")
+    family = Family("p", (n,)).checked("build_p")
     odd: List[Tuple[Weight, int]] = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -378,7 +373,6 @@ def build_p(n: int) -> SuperRootDatum:
             odd.append((lattice.neg(plus), 1))
     for t in range(n):
         odd.append((tuple(2 if k == t else 0 for k in range(n)), 1))
-    family = Family("p", (n,))
     even = tuple((r, r) for _, _, r in _type_a_roots(n))
     return SuperRootDatum(n, even, tuple(odd), 0, str(family), family)
 
@@ -387,6 +381,8 @@ def build_gl_even(n: int) -> SuperRootDatum:
     """Purely even GL_n datum, the reductive backbone for semidirect twists."""
     if n < 1:
         raise ParameterError("build_gl_even requires n >= 1")
+    if n > MAX_RANK:
+        raise ParameterError("gl_%d has rank %d, above the limit of %d" % (n, n, MAX_RANK))
     even = tuple((r, r) for _, _, r in _type_a_roots(n))
     return SuperRootDatum(n, even, (), 0, "gl_%d" % n)
 
@@ -605,11 +601,7 @@ def datum_from_json(data: dict) -> SuperRootDatum:
 
 def _has_family_roots(datum: SuperRootDatum, family: Family) -> bool:
     """Whether the datum has the rank, roots and odd Cartan of the family's
-    builder.  The rank and the root counts are compared first: the given
-    roots each have ``rank`` entries, so the builder never makes a datum
-    larger than the one given."""
-    if (datum.rank, len(datum.even_roots), len(datum.odd_roots)) != family.shape:
-        return False
+    builder."""
     try:
         ref = family.build()
     except ParameterError:

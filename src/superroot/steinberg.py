@@ -287,8 +287,8 @@ def steinberg_decompose(
     returned.  Its last digit is the nonzero remainder at its level, so
     it never ends in a zero digit, and the zero weight has no digits.
     ``radius=None`` means 2.  Raises :class:`ParameterError` for a
-    negative radius and :class:`DecompositionFailure` when the bounded
-    search is exhausted.
+    negative radius or a search deeper than the recursion limit, and
+    :class:`DecompositionFailure` when the bounded search is exhausted.
     """
     check_odd_prime(p)
     if radius is None:
@@ -351,7 +351,12 @@ def steinberg_decompose(
         give_up(mu)
         return None
 
-    digits = dfs(tuple(lam), max_digits)
+    try:
+        digits = dfs(tuple(lam), max_digits)
+    except RecursionError:
+        raise ParameterError(
+            "a decomposition of up to %d digits is too deep for the search" % max_digits
+        ) from None
     if digits is None:
         raise DecompositionFailure(
             "no decomposition of %r within radius %d and %d digits"

@@ -432,6 +432,10 @@ def _line_char(n):
          "ParameterError", "cannot parse weight '\u0661,2'"),
         (["admissible", "--family", "q", "--n", "2", "--psi-odd=1_0,-1"],
          "ParameterError", "cannot parse weight '1_0,-1'"),
+        (["delta", "--family", "q", "--n", "2", "--p", "3", "--r", "1", "--order=\u0663,1_0"],
+         "ParameterError", "order value '\u0663' is not a rational number"),
+        (["delta", "--family", "q", "--n", "2", "--p", "3", "--r", "1", "--order= 1e3,2.5 "],
+         "ParameterError", "order value ' 1e3' is not a rational number"),
     ],
     ids=[
         "order-zero-division", "order-not-rational", "order-empty", "even-roots-not-list",
@@ -443,7 +447,8 @@ def _line_char(n):
         "odd-root-not-object", "handle-p(1)", "order-wrong-rank", "char-add-without-b",
         "char-twist-without-p", "restricted-not-admissible", "decompose-not-admissible",
         "weight-underscore", "weight-leading-space", "weight-trailing-space",
-        "weight-arabic-indic-digit", "psi-odd-underscore",
+        "weight-arabic-indic-digit", "psi-odd-underscore", "order-arabic-indic-digit",
+        "order-exponent",
     ],
 )
 def test_malformed_request_is_a_structured_error(capsys, tmp_path, argv, error, message):
@@ -484,10 +489,18 @@ def test_malformed_request_is_a_structured_error(capsys, tmp_path, argv, error, 
          "ParameterError", "the product would form 251001 pairs of terms, above the limit of 250000"),
         (["char", "--op", "steinberg", "--p", "3", "--inputs", _line_char(2000), _line_char(2000)],
          "ParameterError", "the product would form 4000000 pairs of terms, above the limit of 250000"),
+        (["admissible", "--family", "gl", "--m", "2", "--n", "1", "--order=3,-2,-4997",
+          "--psi-odd=1,0,-1;0,1,-1"],
+         "ParameterError",
+         "the cone search is too deep: a root's order value is too many times a base element's"),
+        (["decompose", "--family", "gl", "--m", "1", "--n", "1", "--weight=%d,0" % 10**500,
+          "--p", "3"],
+         "ParameterError", "a decomposition of up to 1051 digits is too deep for the search"),
     ],
     ids=[
         "file-rank", "file-h-odd-dim", "file-mult", "file-handle", "family-n", "family-m-n",
         "sweep", "sweep-one-row", "prime-beyond-test", "char-mul", "char-steinberg",
+        "cone-search-depth", "digit-search-depth",
     ],
 )
 def test_oversized_request_is_refused_at_once(capsys, tmp_path, argv, error, message):

@@ -103,9 +103,9 @@ FAMILY_VERBS = {
 NUMBERS = st.sampled_from(["-1", "0", "1", "2", "3", "5", "9", "3000", "100000000"])
 PRIMES = st.sampled_from(["3", "5", "7"]) | NUMBERS
 SIZES = st.sampled_from(["-1", "0", "1", "2", "3"])
-ORDERS = st.sampled_from(["-1,-2", "2,1", "1,1", "1/0", "a,b", "1/2,-3", ","]) | st.text(
-    alphabet="01-/,a", max_size=6
-)
+ORDERS = st.sampled_from(
+    ["-1,-2", "2,1", "1,1", "1/0", "a,b", "1/2,-3", ",", "3,-2,-4997"]
+) | st.text(alphabet="01-/,a", max_size=6)
 GARBAGE = st.text(alphabet="0123-,;x", max_size=6)
 
 
@@ -143,10 +143,12 @@ def requests(draw):
         weight = st.lists(st.integers(-9, 9), min_size=max(rank, 1), max_size=max(rank, 1)).map(
             lambda w: ",".join(map(str, w))
         )
+        # a first coordinate of 500 digits, deeper than the digit search goes
+        wide = st.just(",".join(["1" + "0" * 500] + ["0"] * (max(rank, 1) - 1)))
         values = {
             "--p": PRIMES,
             "--r": NUMBERS,
-            "--weight": weight | GARBAGE,
+            "--weight": weight | wide | GARBAGE,
             "--psi-odd": weight | GARBAGE,
             "--radius": SIZES,
             "--mode": st.sampled_from(["assisted", "strict"]),

@@ -458,8 +458,12 @@ def test_default_check_forms_few_commutators(monkeypatch, kind, params, commutat
 
 @pytest.mark.parametrize(
     "build, fits, too_large",
-    [(gl_superalgebra, (2, 2), (3, 2)), (q_superalgebra, (4,), (5,)), (p_superalgebra, (4,), (5,))],
-    ids=["gl", "q", "p"],
+    [
+        (gl_superalgebra, (2, 2), (3, 2)), (q_superalgebra, (4,), (5,)),
+        (p_superalgebra, (4,), (5,)), (build_gl, (2, 2), (3, 2)), (build_q, (4,), (5,)),
+        (build_p, (4,), (5,)), (rootdata.build_gl_even, (4,), (5,)),
+    ],
+    ids=["gl", "q", "p", "build_gl", "build_q", "build_p", "build_gl_even"],
 )
 def test_model_builders_refuse_ranks_above_the_limit(monkeypatch, build, fits, too_large):
     monkeypatch.setattr(rootdata, "MAX_RANK", 4)
@@ -572,6 +576,30 @@ def test_coordinate_solver_membership():
     assert member((1, 0, -1)) and member((2, -2, 0)) and member((1, -1, 0))
     assert not member((-1, 1, 0)) and not member((1, -2, 1)) and not member((1, 0, 0))
     assert not _coordinate_solver([(2, 0)], 2)((1, 0))
+
+
+def test_cone_search_deeper_than_the_recursion_limit_is_refused(monkeypatch):
+    # gl(2|1)'s base with both odd roots is dependent, so generation (a)
+    # searches, one level per base element taken: about 5,000 / 5 levels
+    # for the last order, against 500 / 5 for the first.  The first check
+    # raises the error inside the search by hand, at any stack depth.
+    datum, L = build_gl(2, 1), gl_superalgebra(2, 1)
+
+    def check(values):
+        order = OrderFunctional.from_values(values)
+        psi_even = simple_even_roots(datum, order)
+        return check_admissible_base(L, datum, order, psi_even, [(1, 0, -1), (0, 1, -1)])
+
+    def recursion_error(*args):
+        raise RecursionError
+
+    with monkeypatch.context() as patch:
+        patch.setattr(liesuper, "_cone_member", recursion_error)
+        with pytest.raises(ParameterError, match="^the cone search is too deep: "):
+            check([3, -2, -500])
+    assert check([3, -2, -500]).condition("generation")
+    with pytest.raises(ParameterError, match="^the cone search is too deep: "):
+        check([3, -2, -4997])
 
 
 @st.composite

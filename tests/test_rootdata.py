@@ -437,8 +437,8 @@ def test_json_rejects_bad_lie_handle(data):
      ("p(1000)", 1000, 0), ("gl(1000|1000)", 2000, 0)],
 )
 def test_json_large_handle_on_small_datum_is_not_built(monkeypatch, handle, rank, h_odd_dim):
-    # A datum with no roots must not make the builder run, whatever its
-    # bare integers say: the builder's work grows with the handle's size.
+    # A handle above the rank limit is refused as it is read, before any
+    # builder runs, whatever the datum's bare integers say.
     def refuse(*args):
         raise AssertionError("builder called for a datum with no roots")
 
@@ -449,6 +449,14 @@ def test_json_large_handle_on_small_datum_is_not_built(monkeypatch, handle, rank
     with pytest.raises(DatumValidationError) as err:
         datum_from_json(data)
     assert str(err.value).startswith("$.lie_handle: ")
+
+
+def test_json_handle_of_a_larger_family_is_refused_after_its_build():
+    # A handle within the rank limit is built and compared: q(64) has
+    # rank 64, the datum rank 2.
+    with pytest.raises(DatumValidationError) as err:
+        datum_from_json(_relabel(build_q(2), "q(2)", "q(64)"))
+    assert str(err.value) == "$.lie_handle: the roots are not those of q(64)"
 
 
 def test_json_lie_handle_may_be_null():
@@ -577,7 +585,11 @@ def test_frobenius_kernel_callers_check_p_then_r(caller, p, r, message):
         FROBENIUS_KERNEL_CALLERS[caller](p, r)
 
 
-@pytest.mark.parametrize("bad", ["1/0", "a", "", "1.5.2", float("inf"), float("nan")])
+@pytest.mark.parametrize(
+    "bad",
+    ["1/0", "a", "", "1.5.2", float("inf"), float("nan"), True, 2.5, "1_0", " 1", "1e3",
+     "\u0663", "1/-2", "+"],
+)
 def test_order_values_must_be_rational(bad):
     with pytest.raises(ParameterError, match="is not a rational number"):
         OrderFunctional.from_values([1, bad])
@@ -631,10 +643,17 @@ def test_is_odd_prime_refuses_beyond_its_limit():
     [
         (lambda: build_gl(1, 1).coroot_of((5, 5)), "(5, 5) is not an even root of gl(1|1)"),
         (lambda: build_gl_even(0), "build_gl_even requires n >= 1"),
+        (lambda: build_gl(40, 25), "gl(40|25) has rank 65, above the limit of 64"),
+        (lambda: build_q(65), "q(65) has rank 65, above the limit of 64"),
+        (lambda: build_p(65), "p(65) has rank 65, above the limit of 64"),
+        (lambda: build_gl_even(65), "gl_65 has rank 65, above the limit of 64"),
+        (lambda: Family("gl", (0, 70)).build(), "build_gl requires m, n >= 1"),
+        (lambda: Family("p", (1,)).build(), "build_p requires n >= 2"),
         (lambda: induced_dims(positive_system(build_gl(1, 1), default_order(build_gl(1, 1))),
                               3, 1, -1), "dim_u_lambda must be nonnegative"),
     ],
-    ids=["coroot-of-non-root", "gl-even-0", "induced-negative-seed"],
+    ids=["coroot-of-non-root", "gl-even-0", "gl-40-25", "q-65", "p-65", "gl-even-65",
+         "least-before-rank", "family-p-1", "induced-negative-seed"],
 )
 def test_bad_requests_are_refused(call, message):
     with pytest.raises(ParameterError) as err:

@@ -8,8 +8,12 @@ followed by a count.  Run from the repository root::
     PYTHONPATH=src python tests/trace_statements.py [pytest args]
 
 With no arguments the whole suite in ``tests/`` runs.  The exit status is
-pytest's.  Only this process is traced: a test's child processes are not,
-so what a test runs only in a child counts as unexecuted.
+pytest's.  Only the main thread of this process is traced: a test's child
+processes and threads are not, so what a test runs only in one of them
+counts as unexecuted.
+
+A test that reaches the recursion limit switches tracing off for the rest
+of that test: what it runs after that counts as unexecuted.
 
 A statement counts as executed when a line event fires on its header: the
 whole of a simple statement, or the lines of a compound statement before
@@ -59,11 +63,21 @@ def main(argv):
         executed.setdefault(filename, set()).add(frame.f_lineno)
         return local
 
+    class Rearm:
+        """The interpreter switches tracing off when the trace function
+        cannot be called, as at the recursion limit; each test sets it
+        again."""
+
+        @staticmethod
+        def pytest_runtest_setup():
+            sys.settrace(global_trace)
+
     import pytest
 
     sys.settrace(global_trace)
     try:
-        code = pytest.main(argv or [os.path.join(ROOT, "tests"), "-q", "-p", "no:cacheprovider"])
+        args = argv or [os.path.join(ROOT, "tests"), "-q", "-p", "no:cacheprovider"]
+        code = pytest.main(args, plugins=[Rearm])
     finally:
         sys.settrace(None)
 
