@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from operator import mul
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from . import lattice
@@ -416,89 +417,69 @@ class AdmissibleBaseReport(
         raise KeyError(name)
 
 
-def _cone_member(
-    target: Weight,
-    budget: int,
-    psis: Sequence[Tuple[Weight, int]],
-    memo: Dict[Weight, bool],
-) -> bool:
-    """Whether target, of integer order value ``budget``, is a
-    nonnegative integer combination of the psis, given with their
-    positive integer order values.
-
-    The budget strictly decreases along every branch, so the search
-    terminates.
-    """
-    if target in memo:
-        return memo[target]
-    if lattice.is_zero(target):
-        return True
-    memo[target] = False
-    for psi, value in psis:
-        if value <= budget:
-            if _cone_member(lattice.sub(target, psi), budget - value, psis, memo):
-                memo[target] = True
-                break
-    return memo[target]
-
-
-def _coordinate_solver(
-    base: Sequence[Weight], rank: int
-) -> Optional[Callable[[Weight], bool]]:
-    """For a linearly independent nonempty base, a membership test of its
-    nonnegative integer cone; None for a dependent or empty base.
-
-    hnf([B | I]) is [U B | U] with U unimodular, and the base is
-    dependent iff some row has a zero B part.  Otherwise a target t is
-    an integer combination y of the echelon rows U B iff lattice.solve
-    finds y, and then x = y U are its unique coordinates over the base,
-    so t lies in the cone iff x >= 0.
-    """
-    k = len(base)
-    if not k:
-        return None
-    form = lattice.hnf(
-        list(psi) + [int(s == t) for s in range(k)] for t, psi in enumerate(base)
-    )
-    if any(not any(row[:rank]) for row in form):
-        return None
-    rows = [row[:rank] for row in form]
-    unimodular = [row[rank:] for row in form]
-
-    def member(target: Weight) -> bool:
-        y = lattice.solve(target, rows)
-        return y is not None and all(
-            sum(c * u[s] for c, u in zip(y, unimodular)) >= 0 for s in range(k)
-        )
-
-    return member
-
-
-def _cone_search(
-    base: Sequence[Weight], order: OrderFunctional
+def _cone_solver(
+    base: Sequence[Weight], order: OrderFunctional, rank: int
 ) -> Callable[[Weight], bool]:
     """A membership test of the nonnegative integer cone of a base on
-    which the order is positive, by :func:`_cone_member`: the fallback for
-    a dependent base.  The order is scaled to integers once for the
-    search's budgets; positive scaling keeps every comparison of order
-    values.  A search deeper than the recursion limit is refused."""
+    which the order is positive.
+
+    hnf([B | I]) is [U B | U] with U unimodular.  Its rows with a zero B
+    part are the integer relations among the base elements, in echelon
+    form, so each relation's pivot names a distinct extra element and the
+    base without them, B0, is linearly independent; if there are any,
+    hnf([B0 | I]) is taken instead.  A target t is an integer combination
+    y of the echelon rows U B0 iff lattice.solve finds y, and then x = y U
+    are its unique coordinates over B0.  So t lies in the cone iff
+    t - sum c psi has x >= 0 for some multiplicities c >= 0 of the extra
+    elements psi (with none, iff t itself has).  The order, scaled to
+    integers once, bounds the value of sum c psi by t's, and the
+    multiplicities are walked on an explicit stack within that budget.
+    """
+
+    def echelon(vectors: Sequence[Weight]) -> List[Weight]:
+        k = len(vectors)
+        return lattice.hnf(
+            list(psi) + [int(s == t) for s in range(k)] for t, psi in enumerate(vectors)
+        )
+
+    form = echelon(base)
+    pivots = [
+        next(s for s, u in enumerate(row[rank:]) if u) for row in form if not any(row[:rank])
+    ]
+    independent = [psi for s, psi in enumerate(base) if s not in pivots]
+    if pivots:
+        form = echelon(independent)
+    rows = [row[:rank] for row in form]
+    columns = list(zip(*(row[rank:] for row in form)))  # of U
+
+    def covered(target: Weight) -> bool:
+        y = lattice.solve(target, rows)
+        return y is not None and all(sum(map(mul, y, col)) >= 0 for col in columns)
+
+    if not pivots:
+        return covered
     den = math.lcm(*(v.denominator for v in order.values))
     scaled = [v.numerator * (den // v.denominator) for v in order.values]
 
     def value(w: Weight) -> int:
         return sum(a * b for a, b in zip(scaled, w))
 
-    psis = [(psi, value(psi)) for psi in base]
-    memo: Dict[Weight, bool] = {}
+    extra = [(base[s], value(base[s])) for s in pivots]
 
     def member(target: Weight) -> bool:
-        try:
-            return _cone_member(target, value(target), psis, memo)
-        except RecursionError:
-            raise ParameterError(
-                "the cone search is too deep: a root's order value is too many "
-                "times a base element's"
-            ) from None
+        # Each open state takes one more of extra[j] or moves on to j + 1.
+        stack = [(0, target, value(target))]
+        while stack:
+            j, t, budget = stack.pop()
+            if j == len(extra):
+                if covered(t):
+                    return True
+                continue
+            psi, v = extra[j]
+            if v <= budget:
+                stack.append((j, lattice.sub(t, psi), budget - v))
+            stack.append((j + 1, t, budget))
+        return False
 
     return member
 
@@ -515,11 +496,12 @@ def check_admissible_base(
     multiplicity-one.
 
     Generation demands (a) that every nonzero root, signed by the
-    order's split, is a nonnegative integer combination of the base, and
-    (b) that every positive odd weight space lies in the bracket closure
-    of the odd base vectors -- together with the even simple root vectors
-    in ``assisted`` mode (default), or of the odd base vectors alone in
-    ``strict`` mode.
+    order's split, is a nonnegative integer combination of the base (one
+    :func:`_cone_solver` for a dependent base as for an independent one),
+    and (b) that every positive odd weight space lies in the bracket
+    closure of the odd base vectors -- together with the even simple root
+    vectors in ``assisted`` mode (default), or of the odd base vectors
+    alone in ``strict`` mode.
     """
     if mode not in ("assisted", "strict"):
         raise ParameterError("mode must be 'assisted' or 'strict'")
@@ -539,7 +521,7 @@ def check_admissible_base(
 
     # generation (a): the base spans every root, signed by the split.
     base = list(dict.fromkeys(psi_even + psi_odd_set))
-    member = _coordinate_solver(base, datum.rank) or _cone_search(base, order)
+    member = _cone_solver(base, order, datum.rank)
     positive = {w for w, _ in pos.even_pos + pos.odd_pos}
     all_roots = set(datum.all_roots())
     cone = [

@@ -616,11 +616,14 @@ def _has_family_roots(datum: SuperRootDatum, family: Family) -> bool:
 
 def parse_json(text: str):
     """``json.loads`` for user text; a number longer than Python's
-    int-to-str limit is a ParameterError."""
+    int-to-str limit or nesting deeper than the parser's stack is a
+    ParameterError."""
     try:
         return json.loads(text)
     except json.JSONDecodeError:
         raise
+    except RecursionError:
+        raise ParameterError("the JSON text is nested too deeply") from None
     except ValueError:  # an integer literal beyond sys.get_int_max_str_digits()
         raise ParameterError(
             "a number in the JSON text has more than %d digits"

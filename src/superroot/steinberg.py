@@ -7,10 +7,12 @@ the canonical residue lift {0..p-1} shifted by p times a shift in the box
 generated lazily, canonical-first (by L1 size of the shift, then
 lexicographically), and only inside the window where the remainder
 strictly approaches zero; the first complete decomposition in that
-depth-first order is returned.  When the search is exhausted, the
-failure's ``frontier`` holds, in discovery order and at most 32 of them,
-the remainders left when the digit budget ran out and the remainders
-whose every candidate digit failed.
+depth-first order is returned.  The open levels are kept in a list, not
+on the interpreter's stack, so only the digit budget bounds the depth.
+When the search is exhausted, the failure's ``frontier`` holds, in
+discovery order and at most 32 of them, the remainders left when the
+digit budget ran out and the remainders whose every candidate digit
+failed.
 """
 
 from __future__ import annotations
@@ -287,8 +289,8 @@ def steinberg_decompose(
     returned.  Its last digit is the nonzero remainder at its level, so
     it never ends in a zero digit, and the zero weight has no digits.
     ``radius=None`` means 2.  Raises :class:`ParameterError` for a
-    negative radius or a search deeper than the recursion limit, and
-    :class:`DecompositionFailure` when the bounded search is exhausted.
+    negative radius and :class:`DecompositionFailure` when the bounded
+    search is exhausted.
     """
     check_odd_prime(p)
     if radius is None:
@@ -318,14 +320,9 @@ def steinberg_decompose(
         if len(frontier) < 32:
             frontier.append(mu)
 
-    def dfs(mu: Weight, budget: int) -> Optional[List[Weight]]:
-        if lattice.is_zero(mu):
-            return []
-        if budget == 0:
-            give_up(mu)
-            return None
-        if dead.get((mu, budget)):
-            return None
+    def candidates(mu: Weight) -> Iterator[Tuple[Weight, Weight]]:
+        """Each (digit, remainder) of a level that passes the digit's and
+        the remainder's filters, in the search order."""
         residues = tuple(c % p for c in mu)
         base = tuple((c - res) // p for c, res in zip(mu, residues))
         height = max(abs(c) for c in mu)
@@ -342,27 +339,35 @@ def steinberg_decompose(
             if not all(check[-1] for check in _root_checks(digit, rows, p, p)):
                 continue
             nxt = tuple(b - k for b, k in zip(base, shift))
-            if not passes_flat(nxt):
-                continue
-            tail = dfs(nxt, budget - 1)
-            if tail is not None:
-                return [digit] + tail
-        dead[(mu, budget)] = True
-        give_up(mu)
-        return None
+            if passes_flat(nxt):
+                yield digit, nxt
 
-    try:
-        digits = dfs(tuple(lam), max_digits)
-    except RecursionError:
-        raise ParameterError(
-            "a decomposition of up to %d digits is too deep for the search" % max_digits
-        ) from None
-    if digits is None:
-        raise DecompositionFailure(
-            "no decomposition of %r within radius %d and %d digits"
-            % (lam, radius, max_digits),
-            frontier,
-        )
+    # Depth-first: each open level holds its remainder, its budget and its
+    # candidates not yet tried, and digits[i] is the one level i tries.
+    levels: List[Tuple[Weight, int, Iterator[Tuple[Weight, Weight]]]] = []
+    digits: List[Weight] = []
+    mu, budget = tuple(lam), max_digits
+    while not lattice.is_zero(mu):
+        if budget == 0:
+            give_up(mu)
+        elif not dead.get((mu, budget)):
+            levels.append((mu, budget, candidates(mu)))
+        while levels:
+            nu, budget, untried = levels[-1]
+            step = next(untried, None)
+            if step is not None:
+                digits[len(levels) - 1 :] = [step[0]]
+                mu, budget = step[1], budget - 1
+                break
+            levels.pop()
+            dead[(nu, budget)] = True
+            give_up(nu)
+        else:
+            raise DecompositionFailure(
+                "no decomposition of %r within radius %d and %d digits"
+                % (lam, radius, max_digits),
+                frontier,
+            )
     return digits
 
 

@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -405,6 +406,8 @@ def _line_char(n):
          "DatumValidationError", "$.odd_roots[0].mult: must be >= 1"),
         (["describe", "--family", "file", "--file", _datum_with(odd_roots=[[1, -1]])],
          "DatumValidationError", "$.odd_roots[0]: expected {root, mult}"),
+        (["describe", "--family", "file", "--file", _datum_with(even_roots=[[1, -1]])],
+         "DatumValidationError", "$.even_roots[0]: expected {root, coroot}"),
         # Its counts are those of p(1), which build_p refuses.
         (["describe", "--family", "file", "--file",
           {"rank": 1, "label": "x", "even_roots": [], "odd_roots": [{"root": [2], "mult": 1}],
@@ -436,6 +439,10 @@ def _line_char(n):
          "ParameterError", "order value '\u0663' is not a rational number"),
         (["delta", "--family", "q", "--n", "2", "--p", "3", "--r", "1", "--order= 1e3,2.5 "],
          "ParameterError", "order value ' 1e3' is not a rational number"),
+        (["unimodular", "--family", "q", "--n", "2", "--p", "3"],
+         "ParameterError", "give both --p and --r or neither"),
+        (["unimodular", "--family", "q", "--n", "2", "--r", "1"],
+         "ParameterError", "give both --p and --r or neither"),
     ],
     ids=[
         "order-zero-division", "order-not-rational", "order-empty", "even-roots-not-list",
@@ -444,11 +451,11 @@ def _line_char(n):
         "dims-beyond-str-limit", "twist-beyond-str-limit", "twist-huge-r",
         "dims-huge-r", "flatcheck-odd-composite-p", "even-root-wrong-length",
         "even-root-zero", "even-root-duplicate", "odd-root-wrong-length", "odd-mult-zero",
-        "odd-root-not-object", "handle-p(1)", "order-wrong-rank", "char-add-without-b",
+        "odd-root-not-object", "even-root-not-object", "handle-p(1)", "order-wrong-rank", "char-add-without-b",
         "char-twist-without-p", "restricted-not-admissible", "decompose-not-admissible",
         "weight-underscore", "weight-leading-space", "weight-trailing-space",
         "weight-arabic-indic-digit", "psi-odd-underscore", "order-arabic-indic-digit",
-        "order-exponent",
+        "order-exponent", "unimodular-p-without-r", "unimodular-r-without-p",
     ],
 )
 def test_malformed_request_is_a_structured_error(capsys, tmp_path, argv, error, message):
@@ -489,18 +496,10 @@ def test_malformed_request_is_a_structured_error(capsys, tmp_path, argv, error, 
          "ParameterError", "the product would form 251001 pairs of terms, above the limit of 250000"),
         (["char", "--op", "steinberg", "--p", "3", "--inputs", _line_char(2000), _line_char(2000)],
          "ParameterError", "the product would form 4000000 pairs of terms, above the limit of 250000"),
-        (["admissible", "--family", "gl", "--m", "2", "--n", "1", "--order=3,-2,-4997",
-          "--psi-odd=1,0,-1;0,1,-1"],
-         "ParameterError",
-         "the cone search is too deep: a root's order value is too many times a base element's"),
-        (["decompose", "--family", "gl", "--m", "1", "--n", "1", "--weight=%d,0" % 10**500,
-          "--p", "3"],
-         "ParameterError", "a decomposition of up to 1051 digits is too deep for the search"),
     ],
     ids=[
         "file-rank", "file-h-odd-dim", "file-mult", "file-handle", "family-n", "family-m-n",
         "sweep", "sweep-one-row", "prime-beyond-test", "char-mul", "char-steinberg",
-        "cone-search-depth", "digit-search-depth",
     ],
 )
 def test_oversized_request_is_refused_at_once(capsys, tmp_path, argv, error, message):
@@ -508,6 +507,70 @@ def test_oversized_request_is_refused_at_once(capsys, tmp_path, argv, error, mes
     code, payload = run_json(capsys, *argv)
     assert code == 1
     assert payload == {"error": {"type": error, "message": message}}
+
+
+def test_deeply_nested_json_is_a_structured_error(capsys, tmp_path):
+    # 100,000 nested lists, from a datum file, an inline character and a
+    # character file.
+    text = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    for argv in (
+        ["describe", "--family", "file", "--file", str(path)],
+        ["char", "--op", "add", "--a", text, "--b", CHAR_1],
+        ["char", "--op", "add", "--a", "@" + str(path), "--b", CHAR_1],
+    ):
+        code, payload = run_json(capsys, *argv)
+        assert code == 1
+        assert payload == {
+            "error": {"type": "ParameterError", "message": "the JSON text is nested too deeply"}
+        }
+
+
+def test_requests_deep_for_a_recursive_search_are_answered(capsys):
+    # An order under which a root's value is about a thousand times a base
+    # element's, on a dependent base, and a weight of 1,048 base-3 digits.
+    code, payload = run_json(
+        capsys, "admissible", "--family", "gl", "--m", "2", "--n", "1",
+        "--order=3,-2,-4997", "--psi-odd=1,0,-1;0,1,-1",
+    )
+    assert code == 0 and payload["conditions"]["generation"] is True
+    code, payload = run_json(
+        capsys, "decompose", "--family", "gl", "--m", "1", "--n", "1",
+        "--weight=%d,0" % 10**500, "--p", "3",
+    )
+    assert code == 0 and len(payload["digits"]) == 1048
+    digits = [[int(c) for c in digit] for digit in payload["digits"]]
+    assert [sum(d[i] * 3**k for k, d in enumerate(digits)) for i in (0, 1)] == [10**500, 0]
+
+
+# `admissible` on gl(7|7) with the default odd base plus e1 - e14, a
+# dependent base; the report is the one the earlier recursive cone walk
+# gave after about a minute.
+GL77_PSI_ODD = "0,0,0,0,0,0,1,-1,0,0,0,0,0,0;1,0,0,0,0,0,0,0,0,0,0,0,0,-1"
+GL77_REPORT = (
+    '{"conditions":{"generation":true,"multiplicity-one":true,"separation":false},'
+    '"failures":["separation: (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1) - '
+    '(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -1) is a root","separation: '
+    '(1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1) - (1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, '
+    '0, 0, 0) is a root"],"mode":"assisted","ok":false,"psi_even":[[0,0,0,0,0,0,0,0,0,'
+    '0,0,0,1,-1],[0,0,0,0,0,0,0,0,0,0,0,1,-1,0],[0,0,0,0,0,0,0,0,0,0,1,-1,0,0],[0,0,0,'
+    '0,0,0,0,0,0,1,-1,0,0,0],[0,0,0,0,0,0,0,0,1,-1,0,0,0,0],[0,0,0,0,0,0,0,1,-1,0,0,0,'
+    '0,0],[0,0,0,0,0,1,-1,0,0,0,0,0,0,0],[0,0,0,0,1,-1,0,0,0,0,0,0,0,0],[0,0,0,1,-1,0,'
+    '0,0,0,0,0,0,0,0],[0,0,1,-1,0,0,0,0,0,0,0,0,0,0],[0,1,-1,0,0,0,0,0,0,0,0,0,0,0],[1,'
+    '-1,0,0,0,0,0,0,0,0,0,0,0,0]],"psi_odd":[[0,0,0,0,0,0,1,-1,0,0,0,0,0,0],[1,0,0,0,0,'
+    '0,0,0,0,0,0,0,0,-1]]}'
+)
+
+
+def test_gl77_with_its_highest_root_answers_at_once(capsys):
+    start = time.perf_counter()
+    code, out = run(
+        capsys, "--json", "admissible", "--family", "gl", "--m", "7", "--n", "7",
+        "--psi-odd=" + GL77_PSI_ODD,
+    )
+    assert time.perf_counter() - start < 2
+    assert code == 0 and out == GL77_REPORT + "\n"
 
 
 def test_requests_at_the_size_limits_are_answered(capsys):

@@ -1,4 +1,6 @@
+import functools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from superroot.liesuper import (
     ODD,
     DecompositionError,
     K_alpha,
-    _coordinate_solver,
+    _cone_solver,
     check_admissible_base,
     eval_weight_on_cartan,
     gl_superalgebra,
@@ -555,51 +557,68 @@ def test_admissible_empty_base_matches_fraction_reference(mode):
 
 
 @pytest.mark.parametrize("kind, params", MODELS, ids=lambda v: str(v))
-def test_coordinate_solver_is_chosen_from_the_base(kind, params):
+def test_coordinate_solver_is_chosen_from_the_base(monkeypatch, kind, params):
+    # An independent base needs the one hnf([B | I]); one more positive
+    # odd root makes it dependent, and the solver then eliminates the base
+    # without that extra element once more.
     datum = Family(kind, params).build()
     order = default_order(datum)
     psi_even = simple_even_roots(datum, order)
     base = list(dict.fromkeys(psi_even + sorted(set(default_psi_odd(datum)))))
-    assert _coordinate_solver(base, datum.rank) is not None
-    assert _coordinate_solver([], datum.rank) is None
+    positive = [r for r in datum.all_roots() if order.eval(r) > 0]
     extra = [r for r, _ in datum.odd_roots if order.eval(r) > 0 and r not in base]
-    if extra:  # the base spans the roots, so one more root is dependent
-        assert len(lattice.hnf(base)) == len(lattice.hnf(datum.all_roots()))
-        assert _coordinate_solver(base + extra[:1], datum.rank) is None
+    # the base spans the roots, so one more root is dependent
+    assert len(lattice.hnf(base)) == len(lattice.hnf(datum.all_roots()))
+    calls = _count_calls(monkeypatch, [(lattice, "hnf")])
+    member = _cone_solver(base, order, datum.rank)
+    assert len(calls) == 1
+    assert all(member(r) for r in positive) and not any(member(lattice.neg(r)) for r in positive)
+    if extra:
+        member = _cone_solver(base + extra[:1], order, datum.rank)
+        assert len(calls) == 3
+        assert all(member(r) for r in positive)
+        assert not any(member(lattice.neg(r)) for r in positive)
 
 
 def test_coordinate_solver_membership():
     # e1 - e2, e2 - e3, their sum and 2(e1 - e2) are in the cone; the
     # negative, the mixed-sign and the out-of-span vectors are not, and
-    # neither is half of a base vector.
-    member = _coordinate_solver([(1, -1, 0), (0, 1, -1)], 3)
-    assert member((1, 0, -1)) and member((2, -2, 0)) and member((1, -1, 0))
-    assert not member((-1, 1, 0)) and not member((1, -2, 1)) and not member((1, 0, 0))
-    assert not _coordinate_solver([(2, 0)], 2)((1, 0))
+    # neither is half of a base vector.  Adding the sum e1 - e3 to the
+    # base changes none of these, and the empty base holds only zero.
+    order = OrderFunctional.from_values([2, 1, 0])
+    for base in ([(1, -1, 0), (0, 1, -1)], [(1, -1, 0), (0, 1, -1), (1, 0, -1)]):
+        member = _cone_solver(base, order, 3)
+        assert member((1, 0, -1)) and member((2, -2, 0)) and member((1, -1, 0))
+        assert not member((-1, 1, 0)) and not member((1, -2, 1)) and not member((1, 0, 0))
+    assert not _cone_solver([(2, 0)], order, 2)((1, 0))
+    # 3 e1 is 3 (e1) or e1 + (2 e1); 1 e1 of a base {2 e1, 3 e1} is not.
+    assert _cone_solver([(1, 0), (2, 0)], order, 2)((3, 0))
+    assert not _cone_solver([(2, 0), (3, 0)], order, 2)((1, 0))
+    assert _cone_solver([(2, 0), (3, 0)], order, 2)((5, 0))
+    empty = _cone_solver([], order, 3)
+    assert empty((0, 0, 0)) and not empty((1, -1, 0))
 
 
-def test_cone_search_deeper_than_the_recursion_limit_is_refused(monkeypatch):
-    # gl(2|1)'s base with both odd roots is dependent, so generation (a)
-    # searches, one level per base element taken: about 5,000 / 5 levels
-    # for the last order, against 500 / 5 for the first.  The first check
-    # raises the error inside the search by hand, at any stack depth.
+def test_cone_solver_answers_under_a_wide_order():
+    # gl(2|1)'s base with both odd roots is dependent, and under the
+    # last order a root's value is about a thousand times the even
+    # simple root's; the walk it needs is the budget, not the stack.
     datum, L = build_gl(2, 1), gl_superalgebra(2, 1)
+    psi_odd = [(1, 0, -1), (0, 1, -1)]
 
     def check(values):
         order = OrderFunctional.from_values(values)
-        psi_even = simple_even_roots(datum, order)
-        return check_admissible_base(L, datum, order, psi_even, [(1, 0, -1), (0, 1, -1)])
+        return check_admissible_base(
+            L, datum, order, simple_even_roots(datum, order), psi_odd
+        )
 
-    def recursion_error(*args):
-        raise RecursionError
-
-    with monkeypatch.context() as patch:
-        patch.setattr(liesuper, "_cone_member", recursion_error)
-        with pytest.raises(ParameterError, match="^the cone search is too deep: "):
-            check([3, -2, -500])
-    assert check([3, -2, -500]).condition("generation")
-    with pytest.raises(ParameterError, match="^the cone search is too deep: "):
-        check([3, -2, -4997])
+    order = OrderFunctional.from_values([3, -2, -500])
+    assert check([3, -2, -500]) == oracles.reference_check_admissible_base(
+        L, datum, order, simple_even_roots(datum, order), psi_odd
+    )
+    for values in ([3, -2, -500], [3, -2, -4997], [3, -2, -10**6]):
+        report = check(values)
+        assert report.condition("generation") and not report.condition("separation")
 
 
 @st.composite
@@ -627,14 +646,24 @@ def cone_requests(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(cone_requests())
-def test_coordinate_solver_matches_fraction_reference(request):
+@given(cone_requests(), st.data())
+def test_coordinate_solver_matches_fraction_reference(request, data):
+    # A random rational order; each base vector is signed by it, and
+    # those it vanishes on are dropped, so the order is positive on the
+    # base.
     base, rank, targets = request
-    got = _coordinate_solver(base, rank)
-    want = oracles.fraction_coordinate_solver(base, rank)
-    assert (got is None) == (want is None)
-    if got is not None:
-        assert [got(t) for t in targets] == [want(t) for t in targets]
+    order = OrderFunctional(tuple(data.draw(st.lists(RATIONAL, min_size=rank, max_size=rank))))
+    base = [psi if order.eval(psi) > 0 else lattice.neg(psi) for psi in base if order.eval(psi)]
+    member = _cone_solver(base, order, rank)
+    got = [member(t) for t in targets]
+    # The reference walk evaluates the order on every base vector at each
+    # remainder, so it is given the same order with its values kept.
+    cached = SimpleNamespace(eval=functools.lru_cache(maxsize=None)(order.eval))
+    memo = {}  # shared by the targets, as the reference check shares it
+    assert got == [oracles.fraction_cone_member(t, base, cached, memo) for t in targets]
+    independent = oracles.fraction_coordinate_solver(base, rank)
+    if independent is not None:
+        assert got == [independent(t) for t in targets]
 
 
 def _count_calls(monkeypatch, module_attrs):

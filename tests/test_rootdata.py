@@ -602,6 +602,17 @@ def test_json_bools_are_not_integers(key):
     assert not rootdata.is_json_int(True) and rootdata.is_json_int(0)
 
 
+def test_parse_json_refuses_deep_nesting():
+    # Nesting deeper than the parser's stack is refused with a fixed text;
+    # a shallow text parses as json.loads does.
+    for text in ("[" * 100_000 + "]" * 100_000, '{"a":' * 100_000 + "1" + "}" * 100_000):
+        with pytest.raises(ParameterError) as err:
+            rootdata.parse_json(text)
+        assert err.type is ParameterError
+        assert str(err.value) == "the JSON text is nested too deeply"
+    assert rootdata.parse_json("[" * 50 + "]" * 50) == json.loads("[" * 50 + "]" * 50)
+
+
 def _trial_division_odd_prime(p):
     if p < 3 or p % 2 == 0:
         return False

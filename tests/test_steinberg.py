@@ -1,5 +1,4 @@
 import random
-import threading
 from unittest import mock
 
 import pytest
@@ -601,43 +600,10 @@ def test_bad_character_requests_are_refused(call, message):
     assert err.type is ParameterError and str(err.value) == message
 
 
-def _on_fresh_stack(call):
-    """call() on a new thread, whose Python stack starts empty as a
-    process's does, so pytest's own frames do not count against the
-    recursion limit; its exception, if any, is returned."""
-    out = []
-
-    def run():
-        try:
-            out.append(call())
-        except Exception as exc:
-            out.append(exc)
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    thread.join(timeout=120)
-    assert not thread.is_alive()
-    return out[0]
-
-
-def test_decompose_refuses_a_search_deeper_than_the_recursion_limit(monkeypatch):
-    # The search recurses once per digit: 10**470 has 986 base-3 digits
-    # and answers, 10**500 (1,048 digits) is refused, not a false failure.
-    # The limit counts the caller's frames too, so the first check raises
-    # the error inside the search by hand, and the others run on a fresh
-    # stack.
+def test_decompose_answers_a_thousand_digit_weight():
+    # 10**500 has 1,048 base-3 digits.  The search keeps its open levels
+    # in a list, so its depth is the digit budget whatever the caller's
+    # stack: this runs on the test's own stack.
     d, L, order, pe, po = GL11
-
-    def recursion_error(*args):
-        raise RecursionError
-
-    with monkeypatch.context() as patch:
-        patch.setattr(steinberg, "_shifts", recursion_error)
-        with pytest.raises(ParameterError, match="^a decomposition of up to 5 digits is too deep"):
-            steinberg_decompose(d, L, order, pe, po, (3, 0), 3)
-    lam = (10**470, 0)
-    got = _on_fresh_stack(lambda: steinberg_decompose(d, L, order, pe, po, lam, 3))
-    assert got == gl11_closed_form(lam, 3)
-    err = _on_fresh_stack(lambda: steinberg_decompose(d, L, order, pe, po, (10**500, 0), 3))
-    assert type(err) is ParameterError
-    assert str(err) == "a decomposition of up to 1051 digits is too deep for the search"
+    for lam in ((10**470, 0), (10**500, 0)):
+        assert steinberg_decompose(d, L, order, pe, po, lam, 3) == gl11_closed_form(lam, 3)
