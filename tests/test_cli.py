@@ -451,8 +451,8 @@ def _line_char(n):
         "dims-beyond-str-limit", "twist-beyond-str-limit", "twist-huge-r",
         "dims-huge-r", "flatcheck-odd-composite-p", "even-root-wrong-length",
         "even-root-zero", "even-root-duplicate", "odd-root-wrong-length", "odd-mult-zero",
-        "odd-root-not-object", "even-root-not-object", "handle-p(1)", "order-wrong-rank", "char-add-without-b",
-        "char-twist-without-p", "restricted-not-admissible", "decompose-not-admissible",
+        "odd-root-not-object", "even-root-not-object", "handle-p(1)", "order-wrong-rank",
+        "char-add-without-b", "char-twist-without-p", "restricted-not-admissible", "decompose-not-admissible",
         "weight-underscore", "weight-leading-space", "weight-trailing-space",
         "weight-arabic-indic-digit", "psi-odd-underscore", "order-arabic-indic-digit",
         "order-exponent", "unimodular-p-without-r", "unimodular-r-without-p",
