@@ -527,21 +527,25 @@ def test_deeply_nested_json_is_a_structured_error(capsys, tmp_path):
         }
 
 
-def test_requests_deep_for_a_recursive_search_are_answered(capsys):
-    # An order under which a root's value is about a thousand times a base
-    # element's, on a dependent base, and a weight of 1,048 base-3 digits.
-    code, payload = run_json(
-        capsys, "admissible", "--family", "gl", "--m", "2", "--n", "1",
-        "--order=3,-2,-4997", "--psi-odd=1,0,-1;0,1,-1",
-    )
-    assert code == 0 and payload["conditions"]["generation"] is True
-    code, payload = run_json(
-        capsys, "decompose", "--family", "gl", "--m", "1", "--n", "1",
-        "--weight=%d,0" % 10**500, "--p", "3",
-    )
-    assert code == 0 and len(payload["digits"]) == 1048
-    digits = [[int(c) for c in digit] for digit in payload["digits"]]
-    assert [sum(d[i] * 3**k for k, d in enumerate(digits)) for i in (0, 1)] == [10**500, 0]
+# An order under which a root's value is about a thousand times a base
+# element's, on a dependent base, and a weight of 1,048 base-3 digits.
+@pytest.mark.parametrize(
+    "argv, check",
+    [
+        (["admissible", "--family", "gl", "--m", "2", "--n", "1", "--order=3,-2,-4997",
+          "--psi-odd=1,0,-1;0,1,-1"],
+         lambda payload: payload["conditions"]["generation"] is True),
+        (["decompose", "--family", "gl", "--m", "1", "--n", "1", "--weight=%d,0" % 10**500,
+          "--p", "3"],
+         lambda payload: len(payload["digits"]) == 1048 and [
+             sum(int(d[i]) * 3**k for k, d in enumerate(payload["digits"])) for i in (0, 1)
+         ] == [10**500, 0]),
+    ],
+    ids=["cone-search-depth", "digit-search-depth"],
+)
+def test_requests_deep_for_a_recursive_search_are_answered(capsys, argv, check):
+    code, payload = run_json(capsys, *argv)
+    assert code == 0 and check(payload)
 
 
 # `admissible` on gl(7|7) with the default odd base plus e1 - e14, a
