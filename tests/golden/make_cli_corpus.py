@@ -175,6 +175,15 @@ def requests():
     add(["char", "--op", "add", "--a", "@{dir}/d.json", "--b", CHARS["d"]], {"d.json": CHARS["d"]})
     add(["verify-commutator", "--max-m", "2", "--max-n", "2", "--degree", "6"])
     add(["verify-commutator", "--max-m", "3", "--max-n", "2", "--degree", "8", "--p", "3"])
+
+    # Admissible checks at scale, where the closure has thousands of rows:
+    # both modes on gl(8|8), q(12) and p(12), an increasing q(16) order
+    # that the default odd base does not fit, and one q(12) restriction.
+    for flags in (["--family", "gl", "--m", "8", "--n", "8"], ["--family", "q", "--n", "12"], ["--family", "p", "--n", "12"]):
+        for mode in ("assisted", "strict"):
+            add(["admissible"] + flags + ["--mode", mode])
+    add(["admissible", "--family", "q", "--n", "16", "--order=" + wstr(range(1, 17))])
+    add(["restricted", "--family", "q", "--n", "12", "--weight=" + wstr((1,) + (0,) * 11), "--p", "3", "--r", "1"])
     return out
 
 
