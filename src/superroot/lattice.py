@@ -3,13 +3,14 @@
 Weights and coweights are plain tuples of Python ints (arbitrary
 precision).  All integer linear algebra of the package is :func:`hnf`,
 whose row-style Hermite normal form gives equal lattices equal bases,
-plus :func:`solve`, which reads integer coordinates off such a basis.
+plus :func:`solve` (or :func:`solver`, for many vectors against one
+basis), which reads integer coordinates off such a basis.
 """
 
 from __future__ import annotations
 
 from itertools import compress, count
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 Weight = Tuple[int, ...]
 Coweight = Tuple[int, ...]
@@ -150,6 +151,38 @@ def integer_kernel(vectors: Sequence[Sequence[int]], rank: int) -> List[Weight]:
     return [r[k:] for r in hnf(aug) if not any(r[:k])]
 
 
+def solver(rows: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], Optional[Weight]]:
+    """:func:`solve` against fixed ``rows``, which are checked and whose
+    pivots are found once, not once per vector."""
+    pivots = [next(compress(count(), row), None) for row in rows]
+    for prev, col in zip([-1] + pivots, pivots):
+        if col is None or col <= prev:
+            raise ValueError("rows are not in echelon form")
+    by_pivot = {col: (t, row) for t, (row, col) in enumerate(zip(rows, pivots))}
+    width = len(rows[0]) if rows else None
+
+    def solve_one(vec: Sequence[int]) -> Optional[Weight]:
+        if width is not None:
+            check_rank(vec, width)
+        residue = list(vec)
+        coords = [0] * len(rows)
+        # Walk the residue's nonzero entries left to right, reading each
+        # after the rows left of it are subtracted: only the row pivoted
+        # there can clear it, and every other row's quotient is zero.
+        for col in compress(count(), residue):
+            if col not in by_pivot:
+                return None
+            t, row = by_pivot[col]
+            q, rem = divmod(residue[col], row[col])
+            if rem:
+                return None
+            residue[col:] = [a - q * b for a, b in zip(residue[col:], row[col:])]
+            coords[t] = q
+        return tuple(coords)
+
+    return solve_one
+
+
 def solve(vec: Sequence[int], rows: Sequence[Sequence[int]]) -> Optional[Weight]:
     """Integer coordinates y with y . rows == vec, or None when ``vec`` is
     off the row lattice.
@@ -161,20 +194,7 @@ def solve(vec: Sequence[int], rows: Sequence[Sequence[int]]) -> Optional[Weight]
     """
     if rows:
         check_rank(vec, len(rows[0]))
-    pivots = [next(compress(count(), row), None) for row in rows]
-    for prev, col in zip([-1] + pivots, pivots):
-        if col is None or col <= prev:
-            raise ValueError("rows are not in echelon form")
-    residue = list(vec)
-    coords = []
-    for row, col in zip(rows, pivots):
-        q, rem = divmod(residue[col], row[col])
-        if rem:
-            return None
-        if q:
-            residue[col:] = [a - q * b for a, b in zip(residue[col:], row[col:])]
-        coords.append(q)
-    return None if any(residue) else tuple(coords)
+    return solver(rows)(vec)
 
 
 def in_lattice(vec: Sequence[int], basis: Sequence[Sequence[int]]) -> bool:

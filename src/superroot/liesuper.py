@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import compress, count
 from operator import mul
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -30,6 +31,7 @@ ODD = "odd"
 MIXED = "mixed"
 
 Entry = Tuple[int, int]
+Indices = Tuple[Set[int], Set[int]]
 Matrix = Tuple[Tuple[Entry, int], ...]
 Element = Dict[int, int]
 
@@ -69,11 +71,10 @@ class LieSuperAlgebra:
         self.basis = basis
         self.dim = len(basis)
         # Every basis entry's owner; the first entry of each is its anchor.
-        # Each basis matrix's rows and columns, and the basis by (weight,
+        # Each basis matrix's (rows, columns), and the basis by (weight,
         # parity), in basis order.
         self._owner: Dict[Entry, int] = {}
-        self._rows: List[Set[int]] = []
-        self._cols: List[Set[int]] = []
+        self._indices: List[Indices] = []
         self._spaces: Dict[Tuple[Weight, str], List[BasisElement]] = {}
         for b in basis:
             if not b.matrix:
@@ -82,8 +83,9 @@ class LieSuperAlgebra:
                 if (i, j) in self._owner:
                     raise ValueError("basis supports are not disjoint")
                 self._owner[(i, j)] = b.index
-            self._rows.append({i for (i, _j), _v in b.matrix})
-            self._cols.append({j for (_i, j), _v in b.matrix})
+            self._indices.append(
+                ({i for (i, _j), _v in b.matrix}, {j for (_i, j), _v in b.matrix})
+            )
             self._spaces.setdefault((b.weight, b.parity), []).append(b)
         # The nonzero basis-pair brackets formed so far, and the pairs
         # formed whose bracket is zero.
@@ -151,13 +153,28 @@ class LieSuperAlgebra:
 
     # -- bracket --------------------------------------------------------
 
+    def indices(self, elem: Iterable[int]) -> Indices:
+        """The rows and the columns of the matrix of an element with the
+        support ``elem``: basis supports are disjoint, so nothing cancels."""
+        rows: Set[int] = set()
+        cols: Set[int] = set()
+        for k in elem:
+            r, c = self._indices[k]
+            rows |= r
+            cols |= c
+        return rows, cols
+
+    @staticmethod
+    def meets(x: Indices, y: Indices) -> bool:
+        """Whether matrices with the (rows, columns) x and y share an
+        index: x·y is nonzero only where a column of x meets a row of y, so
+        two matrices that share none in either order bracket to zero."""
+        return not (x[1].isdisjoint(y[0]) and y[1].isdisjoint(x[0]))
+
     def _pair_bracket(self, i: int, j: int) -> Element:
-        """[b_i, b_j] in coordinates, formed on first use.  b_i·b_j is
-        nonzero only where a column of b_i meets a row of b_j, so a pair
-        sharing no such index in either order brackets to zero without a
-        commutator."""
-        rows, cols = self._rows, self._cols
-        if cols[i].isdisjoint(rows[j]) and cols[j].isdisjoint(rows[i]):
+        """[b_i, b_j] in coordinates, formed on first use; zero without a
+        commutator when b_i and b_j share no index (:meth:`meets`)."""
+        if not self.meets(self._indices[i], self._indices[j]):
             return {}
         if (i, j) in self._zero_pairs:
             return {}
@@ -302,6 +319,11 @@ def lie_algebra_for(datum: SuperRootDatum) -> LieSuperAlgebra:
 Sparse = Dict[int, int]
 
 
+def _unit(k: int, dim: int) -> Weight:
+    """The k-th unit vector of Z^dim."""
+    return (0,) * k + (1,) + (0,) * (dim - k - 1)
+
+
 def _eliminate(vec: Sparse, piv: int, row: Sparse) -> None:
     """Clear vec[piv] against ``row``, positive at ``piv``, in place:
     vec <- (d/g) vec - (c/g) row with d = row[piv], c = vec[piv] and
@@ -325,20 +347,34 @@ def _saturation(rows: Mapping[int, Sparse], dim: int) -> List[Weight]:
     {pivot: row}, each positive at its pivot and zero at every other
     row's pivot.
 
-    With d_i the pivots and D their lcm, each free column j gives the
-    vector D e_j - sum_i (D / d_i) row_i[j] e_(pivot_i) orthogonal to the
-    rows, and these span the orthogonal complement over Q; the
-    saturation is the one integer kernel of that complement."""
-    lcm = math.lcm(*(row[piv] for piv, row in rows.items()))
-    free = {j: [0] * dim for j in range(dim) if j not in rows}
+    A row with one entry spans the line of the unit vector at its pivot,
+    a coordinate no other row touches, so that unit vector is its part of
+    the saturation.  The other rows span a subspace of the coordinates T
+    they touch, so their saturation is found in Z^T and embedded; merged
+    by pivot, the rows stay the canonical HNF.  With d_i their pivots and
+    D the lcm, each free column j in T gives the vector
+    D e_j - sum_i (D / d_i) row_i[j] e_(pivot_i) orthogonal to the rows,
+    and these span the orthogonal complement in Q^T; the saturation is
+    the one integer kernel of that complement."""
+    out = {piv: _unit(piv, dim) for piv, row in rows.items() if len(row) == 1}
+    wide = {piv: row for piv, row in rows.items() if len(row) > 1}
+    touched = sorted({j for row in wide.values() for j in row})
+    at = {j: t for t, j in enumerate(touched)}
+    lcm = math.lcm(*(row[piv] for piv, row in wide.items()))
+    free = {j: [0] * len(touched) for j in touched if j not in wide}
     for j, vec in free.items():
-        vec[j] = lcm
-    for piv, row in rows.items():
+        vec[at[j]] = lcm
+    for piv, row in wide.items():
         scale = lcm // row[piv]
         for j, w in row.items():
             if j != piv:
-                free[j][piv] = -scale * w
-    return lattice.integer_kernel(list(free.values()), dim)
+                free[j][at[piv]] = -scale * w
+    for short in lattice.integer_kernel(list(free.values()), len(touched)):
+        vec = [0] * dim
+        for t in compress(count(), short):
+            vec[touched[t]] = short[t]
+        out[touched[next(compress(count(), short))]] = tuple(vec)
+    return [out[piv] for piv in sorted(out)]
 
 
 def subalgebra_closure(
@@ -355,11 +391,15 @@ def subalgebra_closure(
 
     For homogeneous generators the closure is spanned by the right-normed
     brackets [g1, [g2, ... [g_(k-1), g_k]]] (by induction on the super
-    Jacobi identity), so each element found is bracketed once with each
-    generator g, as [g, u].  With a mixed generator each element is
-    bracketed with every element found, in both orders when either of
-    the two is mixed."""
+    Jacobi identity), so each element u found is bracketed once, as
+    [g, u], with each independent generator g that shares a row or column
+    index with u (:meth:`LieSuperAlgebra.meets`); every other [g, u] is
+    zero.  With a mixed generator each element is bracketed with every
+    element found, in both orders when either of the two is mixed."""
     rows: Dict[int, Sparse] = {}
+    # The pivots of the rows with more than one entry: only these can hold
+    # a new row's pivot column.
+    wide: Set[int] = set()
 
     def insert(vec: Mapping[int, object]) -> bool:
         den = math.lcm(*(v.denominator for v in vec.values()))
@@ -372,14 +412,18 @@ def subalgebra_closure(
         content = math.gcd(*red.values())
         content = content if red[piv] > 0 else -content
         row = {k: v // content for k, v in red.items()}
-        for other in rows.values():
-            if piv in other:
-                _eliminate(other, piv, row)
-                g = math.gcd(*other.values())
-                if g != 1:
-                    for k in other:
-                        other[k] //= g
+        for q in [q for q in wide if piv in rows[q]]:
+            other = rows[q]
+            _eliminate(other, piv, row)
+            g = math.gcd(*other.values())
+            if g != 1:
+                for k in other:
+                    other[k] //= g
+            if len(other) == 1:
+                wide.discard(q)
         rows[piv] = row
+        if len(row) > 1:
+            wide.add(piv)
         return True
 
     # Each element found, with whether it is homogeneous.
@@ -391,13 +435,21 @@ def subalgebra_closure(
 
     for g in generators:
         add(L.as_element(g))
-    partners = list(found) if all(h for _, h in found) else found
-    # found, and with a mixed generator partners, grow while walked.
-    for u, homogeneous_u in found:
-        for v, homogeneous_v in partners:
-            add(L.bracket(v, u))
-            if not (homogeneous_u and homogeneous_v):
-                add(L.bracket(u, v))
+    if all(h for _, h in found):
+        gens = [(g, L.indices(g)) for g, _ in found]
+        # found grows while walked.
+        for u, _ in found:
+            at = L.indices(u)
+            for g, g_at in gens:
+                if L.meets(g_at, at):
+                    add(L.bracket(g, u))
+    else:
+        # found, and so the partners, grow while walked.
+        for u, homogeneous_u in found:
+            for v, homogeneous_v in found:
+                add(L.bracket(v, u))
+                if not (homogeneous_u and homogeneous_v):
+                    add(L.bracket(u, v))
     return _saturation(rows, L.dim) if rows else []
 
 
@@ -428,12 +480,13 @@ def _cone_solver(
     form, so each relation's pivot names a distinct extra element and the
     base without them, B0, is linearly independent; if there are any,
     hnf([B0 | I]) is taken instead.  A target t is an integer combination
-    y of the echelon rows U B0 iff lattice.solve finds y, and then x = y U
-    are its unique coordinates over B0.  So t lies in the cone iff
-    t - sum c psi has x >= 0 for some multiplicities c >= 0 of the extra
-    elements psi (with none, iff t itself has).  The order, scaled to
-    integers once, bounds the value of sum c psi by t's, and the
-    multiplicities are walked on an explicit stack within that budget.
+    y of the echelon rows U B0 iff the one lattice.solver of those rows
+    finds y, and then x = y U are its unique coordinates over B0.  So t
+    lies in the cone iff t - sum c psi has x >= 0 for some multiplicities
+    c >= 0 of the extra elements psi (with none, iff t itself has).  The
+    order, scaled to integers once, bounds the value of sum c psi by t's,
+    and the multiplicities are walked on an explicit stack within that
+    budget.
     """
 
     def echelon(vectors: Sequence[Weight]) -> List[Weight]:
@@ -452,8 +505,10 @@ def _cone_solver(
     rows = [row[:rank] for row in form]
     columns = list(zip(*(row[rank:] for row in form)))  # of U
 
+    solve = lattice.solver(rows)
+
     def covered(target: Weight) -> bool:
-        y = lattice.solve(target, rows)
+        y = solve(target)
         return y is not None and all(sum(map(mul, y, col)) >= 0 for col in columns)
 
     if not pivots:
@@ -524,10 +579,13 @@ def check_admissible_base(
     member = _cone_solver(base, order, datum.rank)
     positive = {w for w, _ in pos.even_pos + pos.odd_pos}
     all_roots = set(datum.all_roots())
+    signed = {root: root if root in positive else lattice.neg(root) for root in all_roots}
+    # A root and its negative are signed alike: each signed root is tested once.
+    spanned = {s: member(s) for s in dict.fromkeys(signed.values())}
     cone = [
         "generation: root %r is not a signed combination of the base" % (root,)
         for root in sorted(all_roots)
-        if not member(root if root in positive else lattice.neg(root))
+        if not spanned[signed[root]]
     ]
 
     # generation (b): bracket closure reaches every positive odd weight space.
@@ -543,7 +601,7 @@ def check_admissible_base(
         "generation: odd weight space %r escapes the %s closure" % (gamma, mode)
         for gamma in odd_pos
         for b in L.weight_space(gamma, ODD)
-        if not lattice.in_lattice([int(i == b.index) for i in range(L.dim)], closure)
+        if not lattice.in_lattice(_unit(b.index, L.dim), closure)
     ]
 
     # separation: gamma - alpha is never a root.

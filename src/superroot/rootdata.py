@@ -15,6 +15,7 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from operator import sub
 from typing import Dict, List, Sequence, Tuple
 
 from . import lattice
@@ -301,7 +302,7 @@ class PositiveSystem(namedtuple("PositiveSystem", "even_pos even_neg odd_pos odd
         """Positive even roots that are not sums of two positive even roots."""
         pos = {r for r, _ in self.even_pos}
         return sorted(
-            r for r in pos if not any(lattice.sub(r, s) in pos for s in pos if s != r)
+            r for r in pos if not any(tuple(map(sub, r, s)) in pos for s in pos if s != r)
         )
 
 

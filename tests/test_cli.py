@@ -419,6 +419,8 @@ def _line_char(n):
          "ParameterError", "char add needs --a and --b"),
         (["char", "--op", "twist", "--a", CHAR_1],
          "ParameterError", "char twist needs --a and --p"),
+        (["char", "--op", "steinberg", "--p", "3"],
+         "ParameterError", "char steinberg needs --inputs and --p"),
         (["restricted", "--family", "p", "--n", "2", "--order=-1,-2", "--psi-odd=-1,-1",
           "--weight", "1,0", "--p", "3", "--r", "1"],
          "ParameterError", NOT_ADMISSIBLE),
@@ -452,7 +454,8 @@ def _line_char(n):
         "dims-huge-r", "flatcheck-odd-composite-p", "even-root-wrong-length",
         "even-root-zero", "even-root-duplicate", "odd-root-wrong-length", "odd-mult-zero",
         "odd-root-not-object", "even-root-not-object", "handle-p(1)", "order-wrong-rank",
-        "char-add-without-b", "char-twist-without-p", "restricted-not-admissible", "decompose-not-admissible",
+        "char-add-without-b", "char-twist-without-p", "char-steinberg-without-inputs",
+        "restricted-not-admissible", "decompose-not-admissible",
         "weight-underscore", "weight-leading-space", "weight-trailing-space",
         "weight-arabic-indic-digit", "psi-odd-underscore", "order-arabic-indic-digit",
         "order-exponent", "unimodular-p-without-r", "unimodular-r-without-p",

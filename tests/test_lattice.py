@@ -154,6 +154,52 @@ def test_solve_round_trips_and_matches_the_hnf_reference(case):
         assert [sum(c * row[j] for c, row in zip(got, form)) for j in range(len(off))] == off
 
 
+@st.composite
+def echelon_rows_and_vectors(draw):
+    """Random rows in echelon form (not reduced above the pivots), and
+    vectors on and off their lattice."""
+    ncols = draw(st.integers(1, 8))
+    cols = sorted(draw(st.lists(st.integers(0, ncols - 1), unique=True, max_size=ncols)))
+    entry = st.integers(-6, 6)
+    rows = []
+    for col in cols:
+        tail = draw(st.lists(entry, min_size=ncols - col - 1, max_size=ncols - col - 1))
+        rows.append((0,) * col + (draw(entry.filter(bool)),) + tuple(tail))
+    y = draw(st.lists(st.integers(-4, 4), min_size=len(rows), max_size=len(rows)))
+    on = [sum(c * row[j] for c, row in zip(y, rows)) for j in range(ncols)]
+    others = st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=4)
+    return rows, [on] + draw(others)
+
+
+@settings(max_examples=300, deadline=None)
+@given(echelon_rows_and_vectors())
+def test_solver_finds_pivots_once_and_matches_solve(case):
+    rows, vectors = case
+    solve_one = lattice.solver(rows)
+    for vec in vectors:
+        got = solve_one(vec)
+        assert got == solve(vec, rows)
+        assert (got is not None) == hnf_in_lattice(vec, rows)
+    assert solve_one(vectors[0]) is not None
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(0, 1), (1, 0)],
+        [(1, 0), (1, 1)],
+        [(1, 2), (0, 0)],
+        [(0, 0, 1), (0, 2, 0)],
+    ],
+)
+def test_solver_refuses_rows_out_of_echelon_form_as_solve_does(rows):
+    with pytest.raises(ValueError) as by_solver:
+        lattice.solver(rows)
+    with pytest.raises(ValueError) as by_solve:
+        solve((0,) * len(rows[0]), rows)
+    assert by_solver.type is by_solve.type and str(by_solver.value) == str(by_solve.value)
+
+
 def test_solve_off_the_lattice():
     assert solve((1, 0), [(2, 0), (0, 1)]) is None
     assert solve((0, 0, 1), [(1, 1, 0)]) is None

@@ -734,18 +734,54 @@ def _dense(elem, dim):
     return vec
 
 
+def _share_an_index(a, b):
+    """Whether a column of one basis matrix is a row of the other, read
+    off the matrices' entries."""
+    rows_a, cols_a = {i for (i, _), _ in a.matrix}, {j for (_, j), _ in a.matrix}
+    rows_b, cols_b = {i for (i, _), _ in b.matrix}, {j for (_, j), _ in b.matrix}
+    return bool(cols_a & rows_b or cols_b & rows_a)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_closure_brackets_each_element_with_each_generator(monkeypatch, k):
     # The default base of gl(k|k) is homogeneous, so each element the
-    # closure finds is bracketed once with each independent generator.
+    # closure finds is bracketed once with each independent generator
+    # whose matrix shares a row or column index with its own.  Brackets of
+    # basis vectors of gl are basis vectors up to sign, so the elements
+    # found are the closure's rows, each a unit vector.
     datum = build_gl(k, k)
     L, order = lie_algebra_for(datum), default_order(datum)
     gens = [{b.index: 1} for g in default_psi_odd(datum) for b in L.weight_space(g, ODD)]
     gens += [{L.even_root_vector(a).index: 1} for a in simple_even_roots(datum, order)]
-    rank = len(lattice.hnf(_dense(g, L.dim) for g in gens))
+    assert len(lattice.hnf(_dense(g, L.dim) for g in gens)) == len(gens)
     calls = _count_calls(monkeypatch, [(L, "bracket")])
     closure = subalgebra_closure(L, gens)
-    assert len(calls) == len(closure) * rank
+    assert all(sorted(row) == [0] * (L.dim - 1) + [1] for row in closure)
+    found = [L.basis[row.index(1)] for row in closure]
+    partners = [L.basis[next(iter(g))] for g in gens]
+    assert len(calls) == sum(_share_an_index(u, g) for u in found for g in partners)
+    assert len(calls) < len(closure) * len(gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(MODELS), st.data())
+def test_pairs_sharing_no_index_bracket_to_zero(model, data):
+    # Every (element, generator) pair that the closure's index skips
+    # brackets to zero, for homogeneous elements of random support.
+    kind, params = model
+    L = SPARSE[kind](*params)
+
+    def homogeneous():
+        parity = data.draw(st.sampled_from([EVEN, ODD]))
+        support = [b.index for b in L.basis if b.parity == parity]
+        coeff = st.integers(-3, 3).filter(bool)
+        return data.draw(st.dictionaries(st.sampled_from(support), coeff, min_size=1, max_size=4))
+
+    g, u = homogeneous(), homogeneous()
+    if not L.meets(L.indices(g), L.indices(u)):
+        assert L.bracket(g, u) == {} and L.bracket(u, g) == {}
+    shares = any(_share_an_index(L.basis[i], L.basis[j]) for i in g for j in u)
+    assert L.meets(L.indices(g), L.indices(u)) == shares
 
 
 def test_closure_brackets_mixed_elements_both_ways():
@@ -851,6 +887,31 @@ def echelon_rows(draw):
 @settings(max_examples=300, deadline=None)
 @given(echelon_rows())
 def test_one_kernel_saturation_matches_two_kernels(request):
+    rows, dim = request
+    dense = [_dense(row, dim) for row in rows.values()]
+    assert liesuper._saturation(rows, dim) == oracles.two_kernel_saturate(dense, dim)
+
+
+@st.composite
+def wide_sparse_echelon_rows(draw):
+    """Echelon rows as echelon_rows makes them, over up to 40 columns,
+    each touching its pivot and at most three free columns."""
+    dim = draw(st.integers(1, 40))
+    pivots = draw(st.lists(st.integers(0, dim - 1), unique=True, max_size=8))
+    free = [j for j in range(dim) if j not in pivots]
+    rows = {}
+    for piv in sorted(pivots):
+        row = {piv: draw(st.integers(1, 6))}
+        if free:
+            for j in draw(st.lists(st.sampled_from(free), unique=True, max_size=3)):
+                row[j] = draw(st.integers(-6, 6).filter(bool))
+        rows[piv] = row
+    return rows, dim
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_sparse_echelon_rows())
+def test_saturation_over_touched_coordinates_matches_two_kernels(request):
     rows, dim = request
     dense = [_dense(row, dim) for row in rows.values()]
     assert liesuper._saturation(rows, dim) == oracles.two_kernel_saturate(dense, dim)
