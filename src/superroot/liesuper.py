@@ -371,9 +371,10 @@ def _saturation(rows: Mapping[int, Sparse], dim: int) -> List[Weight]:
                 free[j][at[piv]] = -scale * w
     for short in lattice.integer_kernel(list(free.values()), len(touched)):
         vec = [0] * dim
-        for t in compress(count(), short):
+        nonzero = list(compress(count(), short))
+        for t in nonzero:
             vec[touched[t]] = short[t]
-        out[touched[next(compress(count(), short))]] = tuple(vec)
+        out[touched[nonzero[0]]] = tuple(vec)
     return [out[piv] for piv in sorted(out)]
 
 
