@@ -180,6 +180,8 @@ def test_solver_finds_pivots_once_and_matches_solve(case):
         got = solve_one(vec)
         assert got == solve(vec, rows)
         assert (got is not None) == hnf_in_lattice(vec, rows)
+        if got is not None:
+            assert [sum(c * row[j] for c, row in zip(got, rows)) for j in range(len(vec))] == vec
     assert solve_one(vectors[0]) is not None
 
 
