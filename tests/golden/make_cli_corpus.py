@@ -184,6 +184,25 @@ def requests():
             add(["admissible"] + flags + ["--mode", mode])
     add(["admissible", "--family", "q", "--n", "16", "--order=" + wstr(range(1, 17))])
     add(["restricted", "--family", "q", "--n", "12", "--weight=" + wstr((1,) + (0,) * 11), "--p", "3", "--r", "1"])
+
+    # Odd bases with several relations under wide orders, where the cone
+    # search walks the relation coefficients: every positive odd root, a
+    # smaller base that generates the roots and one that does not, and
+    # strict mode on those two.
+    for flags, order, generates, fails in (
+        (["--family", "gl", "--m", "2", "--n", "2"], "3,-2,-300,-1000", [1, 3, 4], [2, 3, 4]),
+        (["--family", "gl", "--m", "3", "--n", "2"], "5,3,-2,-40,-900", [1, 3, 4, 5, 6], [2, 3, 4, 5, 6]),
+        (["--family", "p", "--n", "3"], "1000,10,1", [1, 2, 3, 4, 5], [2, 3, 4, 5, 6]),
+    ):
+        datum = rootdata.Family(flags[1], tuple(int(v) for v in flags[3::2])).build()
+        values = rootdata.OrderFunctional.from_values(order.split(","))
+        pos = sorted({r for r, _ in datum.odd_roots if values.eval(r) > 0})
+        flags = flags + ["--order=" + order]
+        add(["admissible"] + flags + ["--psi-odd=" + ";".join(wstr(w) for w in pos)])
+        for picks in (generates, fails):
+            psi = "--psi-odd=" + ";".join(wstr(pos[i - 1]) for i in picks)
+            for mode in ("assisted", "strict"):
+                add(["admissible"] + flags + ["--mode", mode, psi])
     return out
 
 
