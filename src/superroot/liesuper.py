@@ -476,65 +476,60 @@ def _cone_solver(
     """A membership test of the nonnegative integer cone of a base on
     which the order is positive.
 
-    hnf([B | I]) is [U B | U] with U unimodular.  Its rows with a zero B
-    part are the integer relations among the base elements, in echelon
-    form, so each relation's pivot names a distinct extra element and the
-    base without them, B0, is linearly independent; if there are any,
-    hnf([B0 | I]) is taken instead.  A target t is an integer combination
-    y of the echelon rows U B0 iff the one lattice.solver of those rows
-    finds y, and then x = y U are its unique coordinates over B0.  So t
-    lies in the cone iff t - sum c psi has x >= 0 for some multiplicities
-    c >= 0 of the extra elements psi (with none, iff t itself has).  The
-    order, scaled to integers once, bounds the value of sum c psi by t's,
-    and the multiplicities are walked on an explicit stack within that
-    budget.
+    hnf([B | I]) is [U B | U] with U unimodular.  The one lattice.solver
+    of the B parts of its rows with a nonzero B part finds t's
+    coordinates y over them when t is in the lattice, and then x = y U,
+    over those rows' U parts, solves x B = t.  The rows with a zero B
+    part are the relations R among the base elements, echelon in U, so t
+    lies in the cone iff some x + z R is >= 0 (with none, iff x is).
+    Relation j is the last one nonzero at its pivot, so z_1 ... z_(d-1)
+    are walked on an explicit stack, one pivot coordinate at a time,
+    smallest first, within the budget of t's value under the order,
+    scaled to integers once.  The order is zero on R and positive on B,
+    so the last relation has entries of both signs: the z_d that keep
+    every coordinate >= 0 are an interval with two ends.
     """
-
-    def echelon(vectors: Sequence[Weight]) -> List[Weight]:
-        k = len(vectors)
-        return lattice.hnf(
-            list(psi) + [int(s == t) for s in range(k)] for t, psi in enumerate(vectors)
-        )
-
-    form = echelon(base)
-    pivots = [
-        next(s for s, u in enumerate(row[rank:]) if u) for row in form if not any(row[:rank])
-    ]
-    independent = [psi for s, psi in enumerate(base) if s not in pivots]
-    if pivots:
-        form = echelon(independent)
-    rows = [row[:rank] for row in form]
-    columns = list(zip(*(row[rank:] for row in form)))  # of U
-
-    solve = lattice.solver(rows)
-
-    def covered(target: Weight) -> bool:
-        y = solve(target)
-        return y is not None and all(sum(map(mul, y, col)) >= 0 for col in columns)
-
-    if not pivots:
-        return covered
+    k = len(base)
+    form = lattice.hnf(list(psi) + [int(s == t) for s in range(k)] for t, psi in enumerate(base))
+    spanning = [row for row in form if any(row[:rank])]
+    solve = lattice.solver([row[:rank] for row in spanning])
+    columns = list(zip(*(row[rank:] for row in spanning)))  # of U
+    relations = [row[rank:] for row in form[len(spanning):]]
+    pivots = [next(compress(count(), rel)) for rel in relations]
     den = math.lcm(*(v.denominator for v in order.values))
     scaled = [v.numerator * (den // v.denominator) for v in order.values]
+    values = [sum(map(mul, scaled, psi)) for psi in base]
 
-    def value(w: Weight) -> int:
-        return sum(a * b for a, b in zip(scaled, w))
-
-    extra = [(base[s], value(base[s])) for s in pivots]
+    def lowest(j: int, c: List[int]) -> List[int]:
+        # c plus the multiple of relation j that puts its pivot coordinate in [0, pivot entry)
+        z = -(c[pivots[j]] // relations[j][pivots[j]])
+        return [a + z * b for a, b in zip(c, relations[j])]
 
     def member(target: Weight) -> bool:
-        # Each open state takes one more of extra[j] or moves on to j + 1.
-        stack = [(0, target, value(target))]
+        y = solve(target)
+        if y is None:
+            return False
+        if not relations:
+            return all(sum(map(mul, y, col)) >= 0 for col in columns)
+        x = [sum(map(mul, y, col)) for col in columns]
+        last = relations[-1]
+        # Each open state: z_1 ... z_j fixed in c, and the budget before
+        # z_j's pivot coordinate is paid for.
+        stack = [(0, lowest(0, x), sum(map(mul, scaled, target)))]
         while stack:
-            j, t, budget = stack.pop()
-            if j == len(extra):
-                if covered(t):
+            j, c, budget = stack.pop()
+            if j == len(pivots) - 1:
+                low = max(-(a // b) for a, b in zip(c, last) if b > 0)
+                high = min(a // -b for a, b in zip(c, last) if b < 0)
+                if low <= high and all(a >= 0 for a, b in zip(c, last) if not b):
                     return True
                 continue
-            psi, v = extra[j]
-            if v <= budget:
-                stack.append((j, lattice.sub(t, psi), budget - v))
-            stack.append((j + 1, t, budget))
+            left = budget - c[pivots[j]] * values[pivots[j]]
+            if left >= 0:
+                # the next pivot coordinate up, and, popped first, z_(j+1);
+                # the interval is read the same after any multiple of the last
+                stack.append((j, [a + b for a, b in zip(c, relations[j])], budget))
+                stack.append((j + 1, lowest(j + 1, c) if j + 2 < len(pivots) else c, left))
         return False
 
     return member

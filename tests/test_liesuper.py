@@ -3,7 +3,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -558,9 +558,9 @@ def test_admissible_empty_base_matches_fraction_reference(mode):
 
 @pytest.mark.parametrize("kind, params", MODELS, ids=lambda v: str(v))
 def test_coordinate_solver_is_chosen_from_the_base(monkeypatch, kind, params):
-    # An independent base needs the one hnf([B | I]); one more positive
-    # odd root makes it dependent, and the solver then eliminates the base
-    # without that extra element once more.
+    # One elimination, hnf([B | I]), for every base: one more positive odd
+    # root makes the base dependent, and no independent part of it is
+    # chosen and eliminated again.
     datum = Family(kind, params).build()
     order = default_order(datum)
     psi_even = simple_even_roots(datum, order)
@@ -575,7 +575,7 @@ def test_coordinate_solver_is_chosen_from_the_base(monkeypatch, kind, params):
     assert all(member(r) for r in positive) and not any(member(lattice.neg(r)) for r in positive)
     if extra:
         member = _cone_solver(base + extra[:1], order, datum.rank)
-        assert len(calls) == 3
+        assert len(calls) == 2
         assert all(member(r) for r in positive)
         assert not any(member(lattice.neg(r)) for r in positive)
 
@@ -623,14 +623,14 @@ def test_cone_solver_answers_under_a_wide_order():
 
 @st.composite
 def cone_requests(draw):
-    """A base of up to four vectors, with dependent, repeated, zero and
-    non-primitive ones among them, and targets: integer combinations of
-    the base with coefficients in [-2, 3], unit steps off them, and
-    vectors in a box."""
+    """A base of up to six vectors in rank 1-3 and four in rank 4-5, with
+    dependent (often with two or more relations), repeated, zero and
+    non-primitive ones among them, and targets: integer combinations of the base with
+    coefficients in [-2, 3], unit steps off them, and vectors in a box."""
     rank = draw(st.integers(1, 5))
     vector = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
     base = []
-    for v in draw(st.lists(vector, max_size=4)):
+    for v in draw(st.lists(vector, max_size=6 if rank <= 3 else 4)):
         c = draw(st.sampled_from([1, 1, 2, 3]))
         base.append(tuple(c * a for a in v))
     if len(base) >= 2 and draw(st.booleans()):
@@ -654,6 +654,8 @@ def test_coordinate_solver_matches_fraction_reference(request, data):
     base, rank, targets = request
     order = OrderFunctional(tuple(data.draw(st.lists(RATIONAL, min_size=rank, max_size=rank))))
     base = [psi if order.eval(psi) > 0 else lattice.neg(psi) for psi in base if order.eval(psi)]
+    relations = len(base) - len(lattice.hnf(base))
+    event("two or more relations" if relations >= 2 else "%d relations" % relations)
     member = _cone_solver(base, order, rank)
     got = [member(t) for t in targets]
     # The reference walk evaluates the order on every base vector at each
@@ -664,6 +666,66 @@ def test_coordinate_solver_matches_fraction_reference(request, data):
     independent = oracles.fraction_coordinate_solver(base, rank)
     if independent is not None:
         assert got == [independent(t) for t in targets]
+
+
+def _count_eliminations_and_solves(monkeypatch):
+    """Count the hnf calls and the solves of every lattice.solver."""
+    counts = {"hnf": 0, "solve": 0}
+    hnf, solver = lattice.hnf, lattice.solver
+
+    def counting_hnf(rows):
+        counts["hnf"] += 1
+        return hnf(rows)
+
+    def counting_solver(rows):
+        solve = solver(rows)
+
+        def counting_solve(vec):
+            counts["solve"] += 1
+            return solve(vec)
+
+        return counting_solve
+
+    monkeypatch.setattr(lattice, "hnf", counting_hnf)
+    monkeypatch.setattr(lattice, "solver", counting_solver)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "base, targets",
+    [
+        # two and three relations; (-1, n) has a value of n - 1 under the
+        # order (1, 1), and a walk over the multiplicities of the extra
+        # elements solved about n^2 / 4 (n^3 / 36) remainders for it
+        ([(1, 0), (1, 1), (1, 2), (1, 3)], {(-1, 1000): False, (2, 6): True, (3, 4): True}),
+        ([(1, 0), (1, 1), (1, 2), (1, 3), (1, 4)], {(-1, 200): False, (2, 6): True, (3, 4): True}),
+    ],
+)
+def test_cone_solver_eliminates_once_and_solves_once_per_target(monkeypatch, base, targets):
+    counts = _count_eliminations_and_solves(monkeypatch)
+    member = _cone_solver(base, OrderFunctional.from_values([1, 1]), 2)
+    assert {t: member(t) for t in targets} == targets
+    assert counts == {"hnf": 1, "solve": len(targets)}
+
+
+@pytest.mark.parametrize("more", [1, 2, 3])
+@pytest.mark.parametrize("kind, params", MODELS, ids=lambda v: str(v))
+def test_dependent_default_base_eliminates_once_and_solves_once_per_root(
+    monkeypatch, kind, params, more
+):
+    # The default base with one to three more positive odd roots: every
+    # positive root is in its cone, and no negative one.
+    datum = Family(kind, params).build()
+    order = default_order(datum)
+    base = list(dict.fromkeys(simple_even_roots(datum, order) + default_psi_odd(datum)))
+    extra = sorted({r for r, _ in datum.odd_roots if order.eval(r) > 0} - set(base))
+    base += extra[:more]
+    positive = [r for r in datum.all_roots() if order.eval(r) > 0]
+    counts = _count_eliminations_and_solves(monkeypatch)
+    member = _cone_solver(base, order, datum.rank)
+    assert all(member(r) for r in positive)
+    assert not any(member(lattice.neg(r)) for r in positive)
+    assert counts == {"hnf": 1, "solve": 2 * len(positive)}
 
 
 def _count_calls(monkeypatch, module_attrs):
