@@ -625,8 +625,9 @@ def test_cone_solver_answers_under_a_wide_order():
 def cone_requests(draw):
     """A base of up to six vectors in rank 1-3 and four in rank 4-5, with
     dependent (often with two or more relations), repeated, zero and
-    non-primitive ones among them, and targets: integer combinations of the base with
-    coefficients in [-2, 3], unit steps off them, and vectors in a box."""
+    non-primitive ones among them, and targets: integer combinations of
+    the base with coefficients in [-2, 3], unit steps off them, and
+    vectors in a box."""
     rank = draw(st.integers(1, 5))
     vector = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
     base = []
@@ -694,9 +695,8 @@ def _count_eliminations_and_solves(monkeypatch):
 @pytest.mark.parametrize(
     "base, targets",
     [
-        # two and three relations; (-1, n) has a value of n - 1 under the
-        # order (1, 1), and a walk over the multiplicities of the extra
-        # elements solved about n^2 / 4 (n^3 / 36) remainders for it
+        # two and three relations, and a non-member of large value under
+        # the order (1, 1)
         ([(1, 0), (1, 1), (1, 2), (1, 3)], {(-1, 1000): False, (2, 6): True, (3, 4): True}),
         ([(1, 0), (1, 1), (1, 2), (1, 3), (1, 4)], {(-1, 200): False, (2, 6): True, (3, 4): True}),
     ],
