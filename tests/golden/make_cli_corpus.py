@@ -203,6 +203,14 @@ def requests():
             psi = "--psi-odd=" + ";".join(wstr(pos[i - 1]) for i in picks)
             for mode in ("assisted", "strict"):
                 add(["admissible"] + flags + ["--mode", mode, psi])
+
+    # Operator sweeps of the reordering identity: the empty sweep, one
+    # sweep over Z and mod 3 and 5, and the two lopsided exponent ranges.
+    add(["verify-commutator", "--max-m", "0", "--max-n", "0", "--degree", "0"])
+    for p in ("0", "3", "5"):
+        add(["verify-commutator", "--max-m", "5", "--max-n", "5", "--degree", "20", "--p", p])
+    add(["verify-commutator", "--max-m", "1", "--max-n", "6", "--degree", "15", "--p", "7"])
+    add(["verify-commutator", "--max-m", "6", "--max-n", "1", "--degree", "15"])
     return out
 
 
