@@ -17,7 +17,7 @@ from typing import List, Tuple
 from . import lattice
 from .lattice import Weight
 from .liesuper import LieSuperAlgebra, eval_weight_on_cartan
-from .rootdata import ParameterError, SuperRootDatum, check_characteristic
+from .rootdata import SuperRootDatum, check_characteristic
 
 
 class CliffordForm(namedtuple("CliffordForm", "gram lam char_p")):
@@ -26,7 +26,8 @@ class CliffordForm(namedtuple("CliffordForm", "gram lam char_p")):
 
 def gram_form(L: LieSuperAlgebra, lam: Weight, char_p: int = 0) -> CliffordForm:
     """Gram matrix (s,t) -> lam([K_s, K_t]) on the odd Cartan basis,
-    reduced to [0, p) when char_p is positive."""
+    reduced to [0, p) when char_p is positive.  It is symmetric: the
+    bracket of two odd elements is K_s K_t + K_t K_s in either order."""
     check_characteristic(char_p, "char_p")
     lattice.check_rank(lam, L.rank)
     ks = L.odd_cartan()
@@ -36,12 +37,7 @@ def gram_form(L: LieSuperAlgebra, lam: Weight, char_p: int = 0) -> CliffordForm:
         for t in range(size):
             value = eval_weight_on_cartan(L, lam, L.bracket(ks[s], ks[t]))
             gram[s][t] = value % char_p if char_p else value
-    form = CliffordForm(tuple(tuple(row) for row in gram), tuple(lam), char_p)
-    for s in range(size):
-        for t in range(size):
-            if form.gram[s][t] != form.gram[t][s]:
-                raise ParameterError("gram matrix is not symmetric")
-    return form
+    return CliffordForm(tuple(tuple(row) for row in gram), tuple(lam), char_p)
 
 
 def form_rank(form: CliffordForm) -> int:

@@ -2,7 +2,8 @@
 against a faithful operator model on two-variable polynomials.
 
 Normal form is (lowering, Cartan binomials, raising).  The operator
-model acts on monomials x^a y^b: the raising divided power moves b to a
+model acts on single monomials x^a y^b, since every divided monomial
+sends one to a multiple of one: the raising divided power moves b to a
 with a binomial coefficient, the lowering one moves a to b, and a
 Cartan binomial acts by the scalar binom(a - b - shift, degree).
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import comb
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Iterable, Tuple
 
 from .rootdata import ParameterError, check_odd_prime
 
@@ -31,6 +32,21 @@ class DividedMonomial(namedtuple("DividedMonomial", "coeff a h_binoms c")):
         if a < 0 or c < 0 or any(d < 0 for _, d in h_binoms):
             raise ParameterError("negative exponent in divided monomial")
         return super().__new__(cls, coeff, a, h_binoms, c)
+
+    def act(self, mono: Monomial) -> Tuple[int, Monomial]:
+        """The image of x^a y^b as (coefficient, monomial): X_+^(c) moves
+        c from b to a with coefficient binom(b, c), each Cartan binomial
+        multiplies by binom(a - b - shift, degree), and X_-^(self.a) moves
+        self.a back with binom(a, self.a).  A zero image is (0, mono)."""
+        x, y = mono
+        coeff = self.coeff * comb(y, self.c)
+        x, y = x + self.c, y - self.c
+        for shift, degree in self.h_binoms:
+            coeff *= _binom_int(x - y - shift, degree)
+        coeff *= comb(x, self.a)
+        if not coeff:
+            return 0, mono
+        return coeff, (x - self.a, y + self.a)
 
 
 def normal_order(m: int, n: int) -> Tuple[DividedMonomial, ...]:
@@ -64,39 +80,6 @@ def lucas_binom(n: int, k: int, p: int) -> int:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Operator model.
-
-
-def apply_raise(m: int, poly: Poly) -> Poly:
-    out: Poly = {}
-    for (a, b), coeff in poly.items():
-        c = comb(b, m)
-        if c:
-            key = (a + m, b - m)
-            out[key] = out.get(key, 0) + c * coeff
-    return out
-
-
-def apply_lower(n: int, poly: Poly) -> Poly:
-    out: Poly = {}
-    for (a, b), coeff in poly.items():
-        c = comb(a, n)
-        if c:
-            key = (a - n, b + n)
-            out[key] = out.get(key, 0) + c * coeff
-    return out
-
-
-def apply_h_binom(shift: int, degree: int, poly: Poly) -> Poly:
-    out: Poly = {}
-    for (a, b), coeff in poly.items():
-        c = _binom_int(a - b - shift, degree)
-        if c:
-            out[(a, b)] = out.get((a, b), 0) + c * coeff
-    return out
-
-
 def _binom_int(top: int, k: int) -> int:
     """binom(top, k) for possibly negative top, integer valued."""
     if k < 0:
@@ -106,23 +89,12 @@ def _binom_int(top: int, k: int) -> int:
     return (-1) ** k * comb(k - top - 1, k)
 
 
-def apply_monomial(dm: DividedMonomial, poly: Poly) -> Poly:
-    out = apply_raise(dm.c, poly)
-    for shift, degree in dm.h_binoms:
-        out = apply_h_binom(shift, degree, out)
-    out = apply_lower(dm.a, out)
-    if dm.coeff != 1:
-        out = {k: dm.coeff * v for k, v in out.items()}
-    return out
-
-
-def apply_sum(terms: Tuple[DividedMonomial, ...], poly: Poly) -> Poly:
-    total: Poly = {}
-    for dm in terms:
-        part = apply_monomial(dm, poly)
-        for k, v in part.items():
-            total[k] = total.get(k, 0) + v
-    return {k: v for k, v in total.items() if v}
+def _poly(terms: Iterable[Tuple[int, Monomial]]) -> Poly:
+    """The sum of (coefficient, monomial) terms, zero coefficients dropped."""
+    out: Poly = {}
+    for coeff, key in terms:
+        out[key] = out.get(key, 0) + coeff
+    return {k: v for k, v in out.items() if v}
 
 
 class CommutatorReport(
@@ -157,13 +129,16 @@ def verify_commutator_formula(
         check_odd_prime(p)
     checked = 0
     for m in range(max_m + 1):
+        raising = DividedMonomial(1, 0, (), m)
         for n in range(max_n + 1):
+            lowering = DividedMonomial(1, n, (), 0)
             rhs_terms = normal_form(m, n)
             for a in range(degree_bound + 1):
                 for b in range(degree_bound + 1 - a):
-                    mono: Poly = {(a, b): 1}
-                    lhs = apply_raise(m, apply_lower(n, mono))
-                    rhs = apply_sum(rhs_terms, mono)
+                    c_low, mid = lowering.act((a, b))
+                    c_raise, top = raising.act(mid)
+                    lhs = _poly([(c_low * c_raise, top)])
+                    rhs = _poly(dm.act((a, b)) for dm in rhs_terms)
                     checked += 1
                     if not _poly_equal(lhs, rhs, p):
                         return CommutatorReport(

@@ -3,8 +3,7 @@
 Weights and coweights are plain tuples of Python ints (arbitrary
 precision).  All integer linear algebra of the package is :func:`hnf`,
 whose row-style Hermite normal form gives equal lattices equal bases,
-plus :func:`solve` (or :func:`solver`, for many vectors against one
-basis), which reads integer coordinates off such a basis.
+plus :func:`solver`, which reads integer coordinates off such a basis.
 """
 
 from __future__ import annotations
@@ -152,8 +151,16 @@ def integer_kernel(vectors: Sequence[Sequence[int]], rank: int) -> List[Weight]:
 
 
 def solver(rows: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], Optional[Weight]]:
-    """:func:`solve` against fixed ``rows``, which are checked and whose
-    pivots are found once, not once per vector."""
+    """A function sending a vector to integer coordinates y with
+    y . rows == vec, or to None when it is off the row lattice.
+
+    ``rows`` must be in echelon form, as :func:`hnf` returns them: each
+    row nonzero, with its first nonzero entry (its pivot) strictly right
+    of the previous row's; otherwise ValueError.  The rows are checked
+    and their pivots found once, not once per vector.  A vector of
+    another length than the rows raises DimensionMismatch.  A row whose
+    quotient is zero is not subtracted.
+    """
     pivots = [next(compress(count(), row), None) for row in rows]
     for prev, col in zip([-1] + pivots, pivots):
         if col is None or col <= prev:
@@ -183,21 +190,7 @@ def solver(rows: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], Optional[
     return solve_one
 
 
-def solve(vec: Sequence[int], rows: Sequence[Sequence[int]]) -> Optional[Weight]:
-    """Integer coordinates y with y . rows == vec, or None when ``vec`` is
-    off the row lattice.
-
-    ``rows`` must be in echelon form, as :func:`hnf` returns them: each
-    row nonzero, with its first nonzero entry (its pivot) strictly right
-    of the previous row's; otherwise ValueError.  A row whose quotient
-    is zero is not subtracted.
-    """
-    if rows:
-        check_rank(vec, len(rows[0]))
-    return solver(rows)(vec)
-
-
 def in_lattice(vec: Sequence[int], basis: Sequence[Sequence[int]]) -> bool:
     """Whether ``vec`` is an integer combination of the basis rows, which
-    must be in echelon form as :func:`hnf` returns them (see :func:`solve`)."""
-    return solve(vec, basis) is not None
+    must be in echelon form as :func:`hnf` returns them (see :func:`solver`)."""
+    return solver(basis)(vec) is not None

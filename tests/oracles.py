@@ -16,14 +16,16 @@ admissible-base check decides cone membership by the Fraction-valued DFS
 on every base and closes subalgebras over dense Fraction rows, as the
 library did before it scaled the order functional to integers.  The
 elimination references are the routines that ``lattice.hnf`` and
-``lattice.solve`` replaced: membership by reducing against a fresh HNF,
+``lattice.solver`` replaced: membership by reducing against a fresh HNF,
 the Fraction Gauss-Jordan coordinate solver, and Gaussian elimination
 mod p for the rank of a Gram form.  The pairwise closure brackets each
 new element with every member over Fraction rows and saturates with two
 integer kernels, and the rebuilding decomposition checks the span by
 building the element's matrix again, as the library did before it
 bracketed new elements with the generators alone over integer rows and
-checked each owner's entries in place.
+checked each owner's entries in place.  The divided-power reference
+applies x d/dy, y d/dx and x d/dx - y d/dy one step at a time and
+divides the factorials out at the end, with no binomial coefficient.
 """
 
 from __future__ import annotations
@@ -1203,7 +1205,7 @@ def rebuild_decompose(
 
 # ---------------------------------------------------------------------------
 # The elimination routines as they were before lattice.hnf and
-# lattice.solve became the only integer linear algebra of the package.
+# lattice.solver became the only integer linear algebra of the package.
 
 
 def hnf_in_lattice(vec: Sequence[int], basis: Sequence[Sequence[int]]) -> bool:
@@ -1292,3 +1294,42 @@ def rank_mod_p(gram: Tuple[Tuple[int, ...], ...], p: int) -> int:
                 rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+# ---------------------------------------------------------------------------
+# The divided-power action from first principles: X_+ = x d/dy,
+# X_- = y d/dx and H = x d/dx - y d/dy applied one step at a time to a
+# polynomial {(a, b): coefficient} in x^a y^b, with every factorial
+# divided out once at the end.
+
+
+def _derive(poly: Mapping[Tuple[int, int], int], step: int) -> Dict[Tuple[int, int], int]:
+    """x d/dy (step 1) or y d/dx (step -1) applied once."""
+    out: Dict[Tuple[int, int], int] = {}
+    for (a, b), c in poly.items():
+        factor = b if step == 1 else a
+        if factor:
+            key = (a + step, b - step)
+            out[key] = out.get(key, 0) + factor * c
+    return out
+
+
+def reference_divided_action(dm, poly: Mapping[Tuple[int, int], int]) -> Dict[Tuple[int, int], int]:
+    """coeff * X_-^(a) * prod binom(H - shift, degree) * X_+^(c) applied
+    to ``poly``, without zero coefficients.  X_+ is applied c times, each
+    binomial as the falling product (H - shift)(H - shift - 1)...
+    (H - shift - degree + 1), and X_- a times; the product of c!, a! and
+    every degree! then divides each coefficient exactly."""
+    out = dict(poly)
+    divisor = math.factorial(dm.c) * math.factorial(dm.a)
+    for _ in range(dm.c):
+        out = _derive(out, 1)
+    for shift, degree in dm.h_binoms:
+        for i in range(degree):
+            out = {(a, b): (a - b - shift - i) * c for (a, b), c in out.items()}
+        divisor *= math.factorial(degree)
+    for _ in range(dm.a):
+        out = _derive(out, -1)
+    for key, c in out.items():
+        assert c % divisor == 0, (dm, key, c, divisor)
+    return {key: dm.coeff * c // divisor for key, c in out.items() if dm.coeff * c}

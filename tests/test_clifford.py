@@ -11,7 +11,7 @@ from superroot.clifford import (
     may_fail_absolute_simplicity,
     u_lambda_dim_closed,
 )
-from superroot.liesuper import gl_superalgebra, q_superalgebra
+from superroot.liesuper import eval_weight_on_cartan, gl_superalgebra, q_superalgebra
 from superroot.rootdata import ParameterError, build_gl, build_p, build_q
 
 from oracles import RationalField, clifford_simple_dim, rank_mod_p
@@ -61,6 +61,23 @@ def test_gram_empty_odd_cartan():
 def test_gram_rejects_even_characteristic():
     with pytest.raises(ParameterError):
         gram_form(q_superalgebra(2), (1, 0), 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(lambda n: st.lists(st.integers(-30, 30), min_size=n, max_size=n)),
+    st.sampled_from([0, 3, 5]),
+)
+def test_gram_is_symmetric_by_super_skew_symmetry(lam, char_p):
+    # Odd elements super-commute: [K_s, K_t] = K_s K_t + K_t K_s = [K_t, K_s].
+    L = q_superalgebra(len(lam))
+    form = gram_form(L, tuple(lam), char_p)
+    assert form.gram == tuple(zip(*form.gram))
+    ks = L.odd_cartan()
+    for s in range(len(ks)):
+        for t in range(len(ks)):
+            value = eval_weight_on_cartan(L, tuple(lam), L.bracket(ks[t], ks[s]))
+            assert form.gram[s][t] == (value % char_p if char_p else value)
 
 
 # -- dimension law ------------------------------------------------------------

@@ -1,20 +1,41 @@
 from math import comb, factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superroot.hyperalg import (
     DividedMonomial,
     _binom_int,
-    apply_lower,
-    apply_monomial,
-    apply_raise,
-    apply_sum,
     bw_multiply,
     lucas_binom,
     normal_order,
     verify_commutator_formula,
 )
 from superroot.rootdata import ParameterError
+
+from oracles import reference_divided_action
+
+
+def image(dm, mono):
+    """``dm.act(mono)`` as a polynomial without zero coefficients."""
+    coeff, out = dm.act(mono)
+    return {out: coeff} if coeff else {}
+
+
+def commutator_image(m, n, mono):
+    """X_+^(m) X_-^(n) applied to ``mono``: two actions."""
+    c_low, mid = DividedMonomial(1, n, (), 0).act(mono)
+    c_raise, top = DividedMonomial(1, 0, (), m).act(mid)
+    return {top: c_low * c_raise} if c_low * c_raise else {}
+
+
+def sum_image(terms, mono):
+    total = {}
+    for dm in terms:
+        for out, coeff in image(dm, mono).items():
+            total[out] = total.get(out, 0) + coeff
+    return {k: v for k, v in total.items() if v}
 
 
 def test_normal_order_sl2_relation():
@@ -36,16 +57,14 @@ def test_normal_order_shifts():
     # oracle check on all monomials of degree <= 12
     for a in range(13):
         for b in range(13 - a):
-            mono = {(a, b): 1}
-            lhs = apply_raise(2, apply_lower(3, mono))
-            assert lhs == apply_sum(terms, mono)
+            assert commutator_image(2, 3, (a, b)) == sum_image(terms, (a, b))
 
 
 def test_operator_actions_are_integral():
     for m in range(5):
         for a in range(8):
             for b in range(8):
-                out = apply_raise(m, {(a, b): 1})
+                out = image(DividedMonomial(1, 0, (), m), (a, b))
                 assert all(isinstance(v, int) for v in out.values())
 
 
@@ -55,10 +74,7 @@ def test_normal_order_operator_identity_small():
             terms = normal_order(m, n)
             for a in range(9):
                 for b in range(9 - a):
-                    mono = {(a, b): 1}
-                    assert apply_raise(m, apply_lower(n, mono)) == apply_sum(
-                        terms, mono
-                    )
+                    assert commutator_image(m, n, (a, b)) == sum_image(terms, (a, b))
 
 
 def test_bw_multiply():
@@ -117,16 +133,48 @@ def test_verify_mutation_detected():
     assert not rep.ok
     assert rep.counterexample is not None
     m, n, a, b = rep.counterexample
-    # the reported counterexample is a genuine operator mismatch
+    # the reported counterexample is a genuine operator mismatch, by the
+    # action and by the reference
+    assert commutator_image(m, n, (a, b)) != sum_image(corrupted(m, n), (a, b))
     mono = {(a, b): 1}
-    assert apply_raise(m, apply_lower(n, mono)) != apply_sum(corrupted(m, n), mono)
+    lhs = reference_divided_action(
+        DividedMonomial(1, 0, (), m), reference_divided_action(DividedMonomial(1, n, (), 0), mono)
+    )
+    rhs = {}
+    for dm in corrupted(m, n):
+        for out, coeff in reference_divided_action(dm, mono).items():
+            rhs[out] = rhs.get(out, 0) + coeff
+    assert lhs != {k: v for k, v in rhs.items() if v}
 
 
-def test_apply_monomial_coefficient():
+def test_act_coefficient():
     dm = DividedMonomial(3, 1, ((0, 1),), 1)
-    out = apply_monomial(dm, {(2, 2): 1})
     # raise(1): binom(2,1) x^3 y^1 ; H-binom(a-b-0,1)=2 ; lower(1): binom(3,1)
-    assert out == {(2, 2): 3 * 2 * 2 * 3}
+    assert dm.act((2, 2)) == (3 * 2 * 2 * 3, (2, 2))
+
+
+divided_monomials = st.builds(
+    DividedMonomial,
+    st.integers(-3, 3),
+    st.integers(0, 6),
+    st.lists(st.tuples(st.integers(-8, 8), st.integers(0, 4)), max_size=2).map(tuple),
+    st.integers(0, 6),
+)
+
+
+@st.composite
+def monomials(draw):
+    a = draw(st.integers(0, 12))
+    return a, draw(st.integers(0, 12 - a))
+
+
+@settings(max_examples=500, deadline=None)
+@given(divided_monomials, monomials())
+def test_act_matches_the_first_principles_reference(dm, mono):
+    coeff, out = dm.act(mono)
+    assert image(dm, mono) == reference_divided_action(dm, {mono: 1})
+    if not coeff:
+        assert out == mono
 
 
 def test_divided_monomial_rejects_negative():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superroot import lattice
-from superroot.lattice import DimensionMismatch, hnf, in_lattice, integer_kernel, pair, solve
+from superroot.lattice import DimensionMismatch, hnf, in_lattice, integer_kernel, pair
 
 from oracles import hnf_in_lattice, kernel_box_vectors, two_kernel_saturate
 
@@ -146,9 +146,9 @@ def echelon_and_vectors(draw):
 @given(echelon_and_vectors())
 def test_solve_round_trips_and_matches_the_hnf_reference(case):
     form, y, vec, off = case
-    assert solve(vec, form) == y
+    assert lattice.solver(form)(vec) == y
     assert in_lattice(vec, form)
-    got = solve(off, form)
+    got = lattice.solver(form)(off)
     assert in_lattice(off, form) == (got is not None) == hnf_in_lattice(off, form)
     if got is not None:
         assert [sum(c * row[j] for c, row in zip(got, form)) for j in range(len(off))] == off
@@ -173,41 +173,24 @@ def echelon_rows_and_vectors(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(echelon_rows_and_vectors())
-def test_solver_finds_pivots_once_and_matches_solve(case):
+def test_solver_finds_pivots_once_and_matches_a_fresh_solver(case):
     rows, vectors = case
     solve_one = lattice.solver(rows)
     for vec in vectors:
         got = solve_one(vec)
-        assert got == solve(vec, rows)
+        assert got == lattice.solver(rows)(vec)
         assert (got is not None) == hnf_in_lattice(vec, rows)
         if got is not None:
             assert [sum(c * row[j] for c, row in zip(got, rows)) for j in range(len(vec))] == vec
     assert solve_one(vectors[0]) is not None
 
 
-@pytest.mark.parametrize(
-    "rows",
-    [
-        [(0, 1), (1, 0)],
-        [(1, 0), (1, 1)],
-        [(1, 2), (0, 0)],
-        [(0, 0, 1), (0, 2, 0)],
-    ],
-)
-def test_solver_refuses_rows_out_of_echelon_form_as_solve_does(rows):
-    with pytest.raises(ValueError) as by_solver:
-        lattice.solver(rows)
-    with pytest.raises(ValueError) as by_solve:
-        solve((0,) * len(rows[0]), rows)
-    assert by_solver.type is by_solve.type and str(by_solver.value) == str(by_solve.value)
-
-
 def test_solve_off_the_lattice():
-    assert solve((1, 0), [(2, 0), (0, 1)]) is None
-    assert solve((0, 0, 1), [(1, 1, 0)]) is None
-    assert solve((3, 5), [(1, 2), (0, 3)]) is None
-    assert solve((3, 3), [(1, 2), (0, 3)]) == (3, -1)
-    assert solve((0, 0), []) == () and solve((1, 0), []) is None
+    assert lattice.solver([(2, 0), (0, 1)])((1, 0)) is None
+    assert lattice.solver([(1, 1, 0)])((0, 0, 1)) is None
+    assert lattice.solver([(1, 2), (0, 3)])((3, 5)) is None
+    assert lattice.solver([(1, 2), (0, 3)])((3, 3)) == (3, -1)
+    assert lattice.solver([])((0, 0)) == () and lattice.solver([])((1, 0)) is None
 
 
 @pytest.mark.parametrize(
@@ -220,13 +203,14 @@ def test_solve_off_the_lattice():
     ],
 )
 def test_solve_refuses_rows_out_of_echelon_form(rows):
-    with pytest.raises(ValueError):
-        solve((0,) * len(rows[0]), rows)
+    with pytest.raises(ValueError) as err:
+        lattice.solver(rows)((0,) * len(rows[0]))
+    assert err.type is ValueError and str(err.value) == "rows are not in echelon form"
 
 
 def test_solve_checks_the_length():
     with pytest.raises(DimensionMismatch):
-        solve((1, 2, 3), [(1, 0)])
+        lattice.solver([(1, 0)])((1, 2, 3))
 
 
 @pytest.mark.parametrize(

@@ -474,6 +474,26 @@ def test_model_builders_refuse_ranks_above_the_limit(monkeypatch, build, fits, t
         build(*too_large)
 
 
+@pytest.mark.parametrize(
+    "basis, message",
+    [
+        ([liesuper.BasisElement(0, EVEN, (0,), (), "Z")], "zero basis matrix"),
+        (
+            [
+                liesuper.BasisElement(0, EVEN, (0,), (((0, 0), 1),), "A"),
+                liesuper.BasisElement(1, EVEN, (0,), (((0, 0), 2), ((1, 1), 1)), "B"),
+            ],
+            "basis supports are not disjoint",
+        ),
+    ],
+    ids=["zero-matrix", "overlapping-supports"],
+)
+def test_model_refuses_a_basis_it_cannot_index(basis, message):
+    with pytest.raises(ValueError) as err:
+        liesuper.LieSuperAlgebra("gl", 1, 2, basis)
+    assert err.type is ValueError and str(err.value) == message
+
+
 def _decompose_outcome(algebra, mat):
     try:
         return algebra.decompose(mat)
