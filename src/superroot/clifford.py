@@ -27,16 +27,17 @@ class CliffordForm(namedtuple("CliffordForm", "gram lam char_p")):
 def gram_form(L: LieSuperAlgebra, lam: Weight, char_p: int = 0) -> CliffordForm:
     """Gram matrix (s,t) -> lam([K_s, K_t]) on the odd Cartan basis,
     reduced to [0, p) when char_p is positive.  It is symmetric: the
-    bracket of two odd elements is K_s K_t + K_t K_s in either order."""
+    bracket of two odd elements is K_s K_t + K_t K_s in either order, so
+    each unordered pair s <= t is bracketed and evaluated once."""
     check_characteristic(char_p, "char_p")
     lattice.check_rank(lam, L.rank)
     ks = L.odd_cartan()
     size = len(ks)
     gram: List[List[int]] = [[0] * size for _ in range(size)]
     for s in range(size):
-        for t in range(size):
+        for t in range(s, size):
             value = eval_weight_on_cartan(L, lam, L.bracket(ks[s], ks[t]))
-            gram[s][t] = value % char_p if char_p else value
+            gram[s][t] = gram[t][s] = value % char_p if char_p else value
     return CliffordForm(tuple(tuple(row) for row in gram), tuple(lam), char_p)
 
 

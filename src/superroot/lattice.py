@@ -2,8 +2,9 @@
 
 Weights and coweights are plain tuples of Python ints (arbitrary
 precision).  All integer linear algebra of the package is :func:`hnf`,
-whose row-style Hermite normal form gives equal lattices equal bases,
-plus :func:`solver`, which reads integer coordinates off such a basis.
+whose row-style Hermite normal form gives equal lattices equal bases in
+one left-to-right pass of Euclidean row reduction, plus :func:`solver`,
+which reads integer coordinates off such a basis.
 """
 
 from __future__ import annotations
@@ -70,70 +71,47 @@ def pair(lam: Weight, cov: Coweight) -> int:
     return sum(a * b for a, b in zip(lam, cov))
 
 
-def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
-    # Returns (x, y, g) with x*a + y*b == g == gcd(a, b), g >= 0 when a,b not both 0.
-    x, nx = 1, 0
-    y, ny = 0, 1
-    g, ng = a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
-
-
 def hnf(rows: Iterable[Sequence[int]]) -> List[Weight]:
     """Row-style Hermite normal form of the lattice spanned by ``rows``.
 
     Pivots are positive, entries above a pivot are reduced into
     [0, pivot), zero rows are dropped.  The result is a canonical basis
     of the row lattice.
+
+    One pass, column by column: while more than one row is nonzero in
+    the column, every other such row is floor-divided by the first row
+    of least absolute entry there, and that multiple is subtracted
+    (Euclid's algorithm on whole rows).  A row cleared in the column
+    waits for the later columns, and a row cleared everywhere is dropped.
+    The row left, made positive, is the pivot: the rows already output
+    are reduced by it into [0, pivot), and it is output after them.
+    Every row still in play is zero left of the column, so each
+    subtraction runs over the columns from there on.
     """
-    mat = [list(r) for r in rows]
-    mat = [r for r in mat if any(r)]
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    for r in mat:
-        if len(r) != ncols:
-            raise DimensionMismatch("ragged rows in hnf input")
-    pivot_row = 0
-    pivots: List[Tuple[int, int]] = []
-    for col in range(ncols):
-        # Eliminate everything below pivot_row in this column via gcd steps.
-        nonzero = [i for i in range(pivot_row, len(mat)) if mat[i][col]]
-        if not nonzero:
-            continue
-        i0 = nonzero[0]
-        mat[pivot_row], mat[i0] = mat[i0], mat[pivot_row]
-        for i in range(pivot_row + 1, len(mat)):
-            if not mat[i][col]:
-                continue
-            a, b = mat[pivot_row][col], mat[i][col]
-            x, y, g = _xgcd(a, b)
-            ag, bg = a // g, b // g
-            ri, rp = mat[i], mat[pivot_row]
-            for j in range(ncols):
-                rp[j], ri[j] = x * rp[j] + y * ri[j], ag * ri[j] - bg * rp[j]
-        if mat[pivot_row][col] < 0:
-            mat[pivot_row] = [-v for v in mat[pivot_row]]
-        pivots.append((pivot_row, col))
-        pivot_row += 1
-        if pivot_row == len(mat):
-            break
-    mat = mat[:pivot_row]
-    # Reduce entries above each pivot, left to right: row prow is zero
-    # left of pcol, so a subtraction never disturbs an earlier column.
-    for prow, pcol in pivots:
-        piv = mat[prow][pcol]
-        for i in range(prow):
-            q = mat[i][pcol] // piv
-            if q:
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[prow])]
-    return [tuple(r) for r in mat]
+    mat = [list(r) for r in rows if any(r)]
+    if any(len(r) != len(mat[0]) for r in mat):
+        raise DimensionMismatch("ragged rows in hnf input")
+    out: List[List[int]] = []
+    for col in range(len(mat[0]) if mat else 0):
+        live = [r for r in mat if r[col]]
+        while len(live) > 1:
+            least = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not least:
+                    q = r[col] // least[col]
+                    r[col:] = [a - q * b for a, b in zip(r[col:], least[col:])]
+            live = [r for r in live if r[col]]
+        if live:
+            piv = live[0]
+            if piv[col] < 0:
+                piv[col:] = [-a for a in piv[col:]]
+            for above in out:
+                q = above[col] // piv[col]
+                if q:
+                    above[col:] = [a - q * b for a, b in zip(above[col:], piv[col:])]
+            out.append(piv)
+            mat = [r for r in mat if r is not piv and any(r)]
+    return [tuple(r) for r in out]
 
 
 def integer_kernel(vectors: Sequence[Sequence[int]], rank: int) -> List[Weight]:

@@ -316,15 +316,12 @@ def lie_algebra_for(datum: SuperRootDatum) -> LieSuperAlgebra:
 # Subalgebra closure over Q with integral saturation.
 
 
-Sparse = Dict[int, int]
-
-
 def _unit(k: int, dim: int) -> Weight:
     """The k-th unit vector of Z^dim."""
     return (0,) * k + (1,) + (0,) * (dim - k - 1)
 
 
-def _eliminate(vec: Sparse, piv: int, row: Sparse) -> None:
+def _eliminate(vec: Element, piv: int, row: Element) -> None:
     """Clear vec[piv] against ``row``, positive at ``piv``, in place:
     vec <- (d/g) vec - (c/g) row with d = row[piv], c = vec[piv] and
     g = gcd(d, c), dropping the entries that become zero."""
@@ -342,7 +339,7 @@ def _eliminate(vec: Sparse, piv: int, row: Sparse) -> None:
             vec.pop(k, None)
 
 
-def _saturation(rows: Mapping[int, Sparse], dim: int) -> List[Weight]:
+def _saturation(rows: Mapping[int, Element], dim: int) -> List[Weight]:
     """span_Q(rows) intersected with Z^dim, as HNF rows, for echelon rows
     {pivot: row}, each positive at its pivot and zero at every other
     row's pivot.
@@ -397,7 +394,7 @@ def subalgebra_closure(
     index with u (:meth:`LieSuperAlgebra.meets`); every other [g, u] is
     zero.  With a mixed generator each element is bracketed with every
     element found, in both orders when either of the two is mixed."""
-    rows: Dict[int, Sparse] = {}
+    rows: Dict[int, Element] = {}
     # The pivots of the rows with more than one entry: only these can hold
     # a new row's pivot column.
     wide: Set[int] = set()

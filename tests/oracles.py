@@ -16,9 +16,11 @@ admissible-base check decides cone membership by the Fraction-valued DFS
 on every base and closes subalgebras over dense Fraction rows, as the
 library did before it scaled the order functional to integers.  The
 elimination references are the routines that ``lattice.hnf`` and
-``lattice.solver`` replaced: membership by reducing against a fresh HNF,
-the Fraction Gauss-Jordan coordinate solver, and Gaussian elimination
-mod p for the rank of a Gram form.  The pairwise closure brackets each
+``lattice.solver`` replaced: the two-pass HNF by extended-gcd row
+updates, membership by reducing against a fresh HNF, the Fraction
+Gauss-Jordan coordinate solver, and Gaussian elimination mod p for the
+rank of a Gram form; Bareiss's fraction-free elimination gives
+determinants.  The pairwise closure brackets each
 new element with every member over Fraction rows and saturates with two
 integer kernels, and the rebuilding decomposition checks the span by
 building the element's matrix again, as the library did before it
@@ -36,6 +38,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from superroot import lattice
+from superroot.lattice import DimensionMismatch
 from superroot.liesuper import (
     EVEN,
     ODD,
@@ -1206,6 +1209,92 @@ def rebuild_decompose(
 # ---------------------------------------------------------------------------
 # The elimination routines as they were before lattice.hnf and
 # lattice.solver became the only integer linear algebra of the package.
+
+
+def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
+    # Returns (x, y, g) with x*a + y*b == g == gcd(a, b), g >= 0 when a,b not both 0.
+    x, nx = 1, 0
+    y, ny = 0, 1
+    g, ng = a, b
+    while ng:
+        q = g // ng
+        x, nx = nx, x - q * nx
+        y, ny = ny, y - q * ny
+        g, ng = ng, g - q * ng
+    if g < 0:
+        x, y, g = -x, -y, -g
+    return x, y, g
+
+
+def reference_hnf(rows: Iterable[Sequence[int]]) -> List[Weight]:
+    """Row-style Hermite normal form of the lattice spanned by ``rows``.
+
+    Pivots are positive, entries above a pivot are reduced into
+    [0, pivot), zero rows are dropped.  The result is a canonical basis
+    of the row lattice.
+    """
+    mat = [list(r) for r in rows]
+    mat = [r for r in mat if any(r)]
+    if not mat:
+        return []
+    ncols = len(mat[0])
+    for r in mat:
+        if len(r) != ncols:
+            raise DimensionMismatch("ragged rows in hnf input")
+    pivot_row = 0
+    pivots: List[Tuple[int, int]] = []
+    for col in range(ncols):
+        # Eliminate everything below pivot_row in this column via gcd steps.
+        nonzero = [i for i in range(pivot_row, len(mat)) if mat[i][col]]
+        if not nonzero:
+            continue
+        i0 = nonzero[0]
+        mat[pivot_row], mat[i0] = mat[i0], mat[pivot_row]
+        for i in range(pivot_row + 1, len(mat)):
+            if not mat[i][col]:
+                continue
+            a, b = mat[pivot_row][col], mat[i][col]
+            x, y, g = _xgcd(a, b)
+            ag, bg = a // g, b // g
+            ri, rp = mat[i], mat[pivot_row]
+            for j in range(ncols):
+                rp[j], ri[j] = x * rp[j] + y * ri[j], ag * ri[j] - bg * rp[j]
+        if mat[pivot_row][col] < 0:
+            mat[pivot_row] = [-v for v in mat[pivot_row]]
+        pivots.append((pivot_row, col))
+        pivot_row += 1
+        if pivot_row == len(mat):
+            break
+    mat = mat[:pivot_row]
+    # Reduce entries above each pivot, left to right: row prow is zero
+    # left of pcol, so a subtraction never disturbs an earlier column.
+    for prow, pcol in pivots:
+        piv = mat[prow][pcol]
+        for i in range(prow):
+            q = mat[i][pcol] // piv
+            if q:
+                mat[i] = [a - q * b for a, b in zip(mat[i], mat[prow])]
+    return [tuple(r) for r in mat]
+
+
+def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination: every division is exact, so all entries stay integers."""
+    mat = [list(r) for r in rows]
+    size = len(mat)
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if not mat[k][k]:
+            swap = next((i for i in range(k + 1, size) if mat[i][k]), None)
+            if swap is None:
+                return 0
+            mat[k], mat[swap] = mat[swap], mat[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
+        prev = mat[k][k]
+    return sign * mat[-1][-1] if size else 1
 
 
 def hnf_in_lattice(vec: Sequence[int], basis: Sequence[Sequence[int]]) -> bool:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superroot import clifford
 from superroot.clifford import (
     CliffordForm,
     form_rank,
@@ -78,6 +79,20 @@ def test_gram_is_symmetric_by_super_skew_symmetry(lam, char_p):
         for t in range(len(ks)):
             value = eval_weight_on_cartan(L, tuple(lam), L.bracket(ks[t], ks[s]))
             assert form.gram[s][t] == (value % char_p if char_p else value)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_gram_evaluates_each_unordered_pair_once(monkeypatch, n):
+    # q(n) has n odd Cartan elements: n(n+1)/2 pairs s <= t, not n^2.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return eval_weight_on_cartan(*args)
+
+    monkeypatch.setattr(clifford, "eval_weight_on_cartan", counting)
+    gram_form(q_superalgebra(n), tuple(range(1, n + 1)), 0)
+    assert len(calls) == n * (n + 1) // 2
 
 
 # -- dimension law ------------------------------------------------------------

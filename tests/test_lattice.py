@@ -1,4 +1,6 @@
+import math
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,13 @@ from hypothesis import strategies as st
 from superroot import lattice
 from superroot.lattice import DimensionMismatch, hnf, in_lattice, integer_kernel, pair
 
-from oracles import hnf_in_lattice, kernel_box_vectors, two_kernel_saturate
+from oracles import (
+    bareiss_det,
+    hnf_in_lattice,
+    kernel_box_vectors,
+    reference_hnf,
+    two_kernel_saturate,
+)
 
 
 def test_pair_worked_example():
@@ -123,6 +131,59 @@ def test_hnf_is_canonical_on_random_lattices(case):
         col = next(j for j, v in enumerate(row) if v)
         assert row[col] > 0 and all(not v for v in row[:col])
         assert all(0 <= above[col] < row[col] for above in form[:t])
+
+
+@st.composite
+def rows_with_repeats(draw):
+    """0-8 rows of 1-8 columns, entries from [-3, 3] or [-10^6, 10^6],
+    with zero rows, duplicate rows and negated rows put in among them."""
+    ncols = draw(st.integers(1, 8))
+    bound = draw(st.sampled_from([3, 10**6]))
+    row = st.lists(st.integers(-bound, bound), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=8))
+    kinds = st.sampled_from(["zero", "duplicate", "negated"])
+    for kind, at in draw(st.lists(st.tuples(kinds, st.integers(0, 7)), max_size=8 - len(rows))):
+        if kind == "zero" or not rows:
+            extra = [0] * ncols
+        else:
+            extra = rows[at % len(rows)]
+            extra = [-v for v in extra] if kind == "negated" else list(extra)
+        rows.insert(at % (len(rows) + 1), extra)
+    return rows
+
+
+@settings(max_examples=500, deadline=None)
+@given(rows_with_repeats())
+def test_hnf_matches_the_two_pass_xgcd_reference(rows):
+    form = hnf(rows)
+    assert form == reference_hnf(rows)
+    assert hnf(tuple(r) for r in rows) == form
+
+
+def test_dense_hnf_keeps_its_entries_small():
+    # The xgcd reference lets the rows below the pivot grow between steps:
+    # on half of these matrices it takes over 20 s.  The one-pass kernel
+    # reduces them as it goes.
+    matrices = []
+    for seed in range(8):
+        rng = random.Random(seed)
+        matrices.append([[rng.randint(-5, 5) for _ in range(40)] for _ in range(40)])
+
+    def give_up(signum, frame):
+        raise TimeoutError("hnf of eight dense 40 x 40 matrices took over 10 s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(10)
+    try:
+        forms = [hnf(rows) for rows in matrices]
+        assert all(hnf(form) == form for form in forms)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    for rows, form in zip(matrices, forms):
+        det = bareiss_det(rows)
+        assert det and len(form) == 40
+        assert math.prod(row[t] for t, row in enumerate(form)) == abs(det)
 
 
 @st.composite

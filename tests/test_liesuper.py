@@ -1,4 +1,5 @@
 import functools
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -32,6 +33,7 @@ from superroot.rootdata import (
     build_p,
     build_q,
     default_order,
+    positive_system,
     simple_even_roots,
 )
 
@@ -598,6 +600,19 @@ def test_coordinate_solver_is_chosen_from_the_base(monkeypatch, kind, params):
         assert len(calls) == 2
         assert all(member(r) for r in positive)
         assert not any(member(lattice.neg(r)) for r in positive)
+
+
+@pytest.mark.parametrize("kind, params", [("gl", (32, 32)), ("q", (64,)), ("p", (64,))])
+def test_cone_elimination_matches_the_xgcd_reference_at_rank_64(kind, params):
+    # The [B | I] rows that _cone_solver eliminates, for the default base
+    # and for it with 20 more positive odd roots.
+    datum = Family(kind, params).build()
+    pos = positive_system(datum, default_order(datum))
+    base = list(dict.fromkeys(sorted(pos.simple_even) + sorted(set(default_psi_odd(datum)))))
+    extra = sorted({r for r, _ in pos.odd_pos} - set(base))
+    for psi in (base, base + random.Random(2).sample(extra, 20)):
+        rows = [list(w) + [int(s == t) for s in range(len(psi))] for t, w in enumerate(psi)]
+        assert lattice.hnf(rows) == oracles.reference_hnf(rows)
 
 
 def test_coordinate_solver_membership():
