@@ -211,6 +211,20 @@ def requests():
         add(["verify-commutator", "--max-m", "5", "--max-n", "5", "--degree", "20", "--p", p])
     add(["verify-commutator", "--max-m", "1", "--max-n", "6", "--degree", "15", "--p", "7"])
     add(["verify-commutator", "--max-m", "6", "--max-n", "1", "--degree", "15"])
+
+    # Every positive odd root as the odd base under orders whose values
+    # spread over orders of magnitude, so that the cone's relations meet
+    # base elements of very different order value: both modes.
+    for flags, order in (
+        (["--family", "gl", "--m", "3", "--n", "2"], "50,30,-20,-400,-9000"),
+        (["--family", "q", "--n", "3"], "1000,10,1"),
+    ):
+        datum = rootdata.Family(flags[1], tuple(int(v) for v in flags[3::2])).build()
+        values = rootdata.OrderFunctional.from_values(order.split(","))
+        pos = sorted({r for r, _ in datum.odd_roots if values.eval(r) > 0})
+        psi = "--psi-odd=" + ";".join(wstr(w) for w in pos)
+        for mode in ("assisted", "strict"):
+            add(["admissible"] + flags + ["--order=" + order, "--mode", mode, psi])
     return out
 
 
