@@ -16,12 +16,11 @@ _PUBLIC = {
     "liesuper": """AdmissibleBaseReport BasisElement K_alpha LieSuperAlgebra
         check_admissible_base eval_weight_on_cartan gl_superalgebra lie_algebra_for
         p_superalgebra q_superalgebra subalgebra_closure""",
-    "clifford": """CliffordForm form_rank gram_form may_fail_absolute_simplicity
-        u_lambda_dim_closed""",
+    "clifford": "CliffordForm form_rank gram_form u_lambda_dim_closed",
     "steinberg": """CharacterElement RestrictionReport char_add char_from_json char_mul
         char_to_json frobenius_twist is_dominant is_flat is_restricted
-        steinberg_character steinberg_decompose upsilon_leading""",
-    "hyperalg": "DividedMonomial bw_multiply lucas_binom normal_order verify_commutator_formula",
+        steinberg_character steinberg_decompose""",
+    "hyperalg": "DividedMonomial normal_order verify_commutator_formula",
 }
 _MODULE_OF = {name: mod for mod, names in _PUBLIC.items() for name in names.split()}
 

@@ -5,8 +5,8 @@ The Gram matrix of a weight ``lam`` has entries lam([K_s, K_t]) computed
 in the matrix model; over a closed field the simple supermodule of the
 corresponding Clifford superalgebra has dimension 2^ceil(rank/2), of
 type M for even rank and type Q for odd rank.  Over non-closed fields
-the dimension can grow (division superalgebras); callers can consult
-:func:`may_fail_absolute_simplicity` for the flag.
+the dimension can grow (division superalgebras) when the odd Cartan is
+nonzero (``h_odd_dim > 0``, as for q(n)).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import List, Tuple
 from . import lattice
 from .lattice import Weight
 from .liesuper import LieSuperAlgebra, eval_weight_on_cartan
-from .rootdata import SuperRootDatum, check_characteristic
+from .rootdata import check_characteristic
 
 
 class CliffordForm(namedtuple("CliffordForm", "gram lam char_p")):
@@ -64,9 +64,3 @@ def u_lambda_dim_closed(form: CliffordForm) -> Tuple[int, str]:
     dim = 2 ** ((rank + 1) // 2)
     kind = "M" if rank % 2 == 0 else "Q"
     return dim, kind
-
-
-def may_fail_absolute_simplicity(datum: SuperRootDatum) -> bool:
-    """True when the root system contains weight zero (nontrivial odd
-    Cartan): simple supermodules need not stay simple under base change."""
-    return datum.h_odd_dim > 0

@@ -60,26 +60,6 @@ def normal_order(m: int, n: int) -> Tuple[DividedMonomial, ...]:
     return tuple(terms)
 
 
-def bw_multiply(n: int, m: int) -> Tuple[int, int]:
-    """Product of two raising divided powers: coefficient and exponent."""
-    if m < 0 or n < 0:
-        raise ParameterError("exponents must be nonnegative")
-    return comb(n + m, n), n + m
-
-
-def lucas_binom(n: int, k: int, p: int) -> int:
-    """binom(n, k) mod p via base-p digits."""
-    check_odd_prime(p)
-    if n < 0 or k < 0:
-        raise ParameterError("lucas_binom needs nonnegative arguments")
-    out = 1
-    while k or n:
-        out = out * comb(n % p, k % p) % p
-        n //= p
-        k //= p
-    return out
-
-
 def _binom_int(top: int, k: int) -> int:
     """binom(top, k) for possibly negative top, integer valued."""
     if k < 0:

@@ -216,9 +216,6 @@ class LieSuperAlgebra:
     def odd_cartan(self) -> List[BasisElement]:
         return self.weight_space(lattice.zero(self.rank), ODD)
 
-    def even_cartan(self) -> List[BasisElement]:
-        return self.weight_space(lattice.zero(self.rank), EVEN)
-
     def even_root_vector(self, alpha: Weight) -> BasisElement:
         space = self.weight_space(alpha, EVEN)
         if len(space) != 1:
@@ -473,19 +470,26 @@ def _cone_solver(
     """A membership test of the nonnegative integer cone of a base on
     which the order is positive.
 
-    hnf([B | I]) is [U B | U] with U unimodular.  The one lattice.solver
-    of the B parts of its rows with a nonzero B part finds t's
-    coordinates y over them when t is in the lattice, and then x = y U,
-    over those rows' U parts, solves x B = t.  The rows with a zero B
-    part are the relations R among the base elements, echelon in U, so t
-    lies in the cone iff some x + z R is >= 0 (with none, iff x is).
-    Relation j is the last one nonzero at its pivot, so z_1 ... z_(d-1)
-    are walked on an explicit stack, one pivot coordinate at a time,
-    smallest first, within the budget of t's value under the order,
-    scaled to integers once.  The order is zero on R and positive on B,
-    so the last relation has entries of both signs: the z_d that keep
-    every coordinate >= 0 are an interval with two ends.
+    The base is taken in decreasing order value (a stable sort: ties
+    keep the caller's order), and hnf([B | I]) is [U B | U] with U
+    unimodular.  The one lattice.solver of the B parts of its rows with
+    a nonzero B part finds t's coordinates y over them when t is in the
+    lattice, and then x = y U, over those rows' U parts, solves x B = t.
+    The rows with a zero B part are the relations R among the base
+    elements, echelon in U, so t lies in the cone iff some x + z R is
+    >= 0 (with none, iff x is).  Relation j is the last one nonzero at
+    its pivot, so z_1 ... z_(d-1) are walked on an explicit stack, one
+    pivot coordinate at a time, smallest first, within the budget of t's
+    value under the order, scaled to integers once.  Echelon pivots lie
+    as far left as they can, on the base elements of largest value, so
+    each level is short.  The order is zero on R and positive on B, so
+    the last relation has entries of both signs: the z_d that keep every
+    coordinate >= 0 are an interval with two ends.
     """
+    den = math.lcm(*(v.denominator for v in order.values))
+    scaled = [v.numerator * (den // v.denominator) for v in order.values]
+    base = sorted(base, key=lambda psi: sum(map(mul, scaled, psi)), reverse=True)
+    values = [sum(map(mul, scaled, psi)) for psi in base]
     k = len(base)
     form = lattice.hnf(list(psi) + [int(s == t) for s in range(k)] for t, psi in enumerate(base))
     spanning = [row for row in form if any(row[:rank])]
@@ -493,9 +497,6 @@ def _cone_solver(
     columns = list(zip(*(row[rank:] for row in spanning)))  # of U
     relations = [row[rank:] for row in form[len(spanning):]]
     pivots = [next(compress(count(), rel)) for rel in relations]
-    den = math.lcm(*(v.denominator for v in order.values))
-    scaled = [v.numerator * (den // v.denominator) for v in order.values]
-    values = [sum(map(mul, scaled, psi)) for psi in base]
 
     def lowest(j: int, c: List[int]) -> List[int]:
         # c plus the multiple of relation j that puts its pivot coordinate in [0, pivot entry)

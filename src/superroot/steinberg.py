@@ -82,9 +82,9 @@ def _has_flat_rule(family: Optional[Family]) -> bool:
 def is_flat(datum: SuperRootDatum, p: int, lam: Weight) -> bool:
     """Membership in the set of weights with nonvanishing induced module.
 
-    For q(n) this is the exact arithmetic condition (weakly decreasing,
-    with equal neighbours divisible by p); for gl(m|n) it is blockwise
-    dominance.  Other families raise.
+    Each block, lam[:m] and lam[m:] for gl(m|n) and all of lam for q(n),
+    is weakly decreasing; for q(n) equal neighbours are moreover
+    divisible by p (zero when p is 0).  Other families raise.
     """
     # The digit search calls this per candidate: read each record field once.
     family = datum.family
@@ -93,26 +93,13 @@ def is_flat(datum: SuperRootDatum, p: int, lam: Weight) -> bool:
             "no flat-weight characterization for family %r" % datum.label
         )
     check_characteristic(p)
-    kind, params = family.kind, family.params
-    if kind == "q":
-        (n,) = params
-        lattice.check_rank(lam, n)
-        for i in range(n - 1):
-            if lam[i] < lam[i + 1]:
-                return False
-            if lam[i] == lam[i + 1]:
-                if p == 0:
-                    if lam[i] != 0:
-                        return False
-                elif lam[i] % p != 0:
-                    return False
-        return True
-    m, n = params
-    lattice.check_rank(lam, m + n)
-    blocks = (lam[:m], lam[m:])
-    return all(
-        all(block[i] >= block[i + 1] for i in range(len(block) - 1)) for block in blocks
-    )
+    lattice.check_rank(lam, family.rank)
+    cut, q = family.params[0], family.kind == "q"
+    for i in range(1, len(lam)):
+        a, b = lam[i - 1], lam[i]
+        if i != cut and (a < b or q and a == b and (a % p if p else a)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +384,6 @@ class CharacterElement(namedtuple("CharacterElement", "rank terms")):
     def as_dict(self) -> Dict[Weight, int]:
         return dict(self.terms)
 
-    def total_dim(self) -> int:
-        return sum(m for _, m in self.terms)
-
 
 def _check_same_rank(a: CharacterElement, b: CharacterElement) -> None:
     if a.rank != b.rank:
@@ -455,19 +439,6 @@ def steinberg_character(
     for i, ch in enumerate(restricted_chars[1:], start=1):
         out = char_mul(out, frobenius_twist(ch, p, i))
     return out
-
-
-def upsilon_leading(
-    ch: CharacterElement, order: OrderFunctional
-) -> Tuple[Weight, int]:
-    """The unique term of maximal order value; raises on ties or zero."""
-    if not ch.terms:
-        raise ParameterError("zero character has no leading term")
-    values = [order.eval(w) for w, _ in ch.terms]
-    top = max(values)
-    if values.count(top) != 1:
-        raise ParameterError("leading term is not unique")
-    return ch.terms[values.index(top)]
 
 
 def char_to_json(ch: CharacterElement) -> dict:

@@ -28,6 +28,12 @@ bracketed new elements with the generators alone over integer rows and
 checked each owner's entries in place.  The divided-power reference
 applies x d/dy, y d/dx and x d/dx - y d/dy one step at a time and
 divides the factorials out at the end, with no binomial coefficient.
+The flatness reference is the two-loop rule, one loop for q(n) and one
+for gl(m|n), that ``steinberg.is_flat`` replaced by one walk over
+neighbour pairs.  The last section holds helpers that only the tests
+call: the raising divided-power product, Lucas's binomial mod p, the
+leading term of a character, the absolute-simplicity flag and the
+closed-form digit expansion on gl(1|1).
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from math import comb
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from superroot import lattice
@@ -55,13 +62,16 @@ from superroot.rootdata import (
     OrderFunctional,
     ParameterError,
     SuperRootDatum,
+    check_characteristic,
     check_odd_prime,
     positive_system,
     simple_even_roots,
 )
 from superroot.steinberg import (
+    CharacterElement,
     DecompositionFailure,
     FlatnessError,
+    UnsupportedFamilyError,
     _has_flat_rule,
     _restriction_rows,
     is_flat,
@@ -1422,3 +1432,102 @@ def reference_divided_action(dm, poly: Mapping[Tuple[int, int], int]) -> Dict[Tu
     for key, c in out.items():
         assert c % divisor == 0, (dm, key, c, divisor)
     return {key: dm.coeff * c // divisor for key, c in out.items() if dm.coeff * c}
+
+
+# ---------------------------------------------------------------------------
+# Flatness as two rules: the exact arithmetic condition on q(n) and
+# blockwise dominance on gl(m|n), each with its own loop.
+
+
+def reference_is_flat(datum: SuperRootDatum, p: int, lam: Weight) -> bool:
+    """Membership in the set of weights with nonvanishing induced module.
+
+    For q(n) this is the exact arithmetic condition (weakly decreasing,
+    with equal neighbours divisible by p); for gl(m|n) it is blockwise
+    dominance.  Other families raise.
+    """
+    # The digit search calls this per candidate: read each record field once.
+    family = datum.family
+    if not _has_flat_rule(family):
+        raise UnsupportedFamilyError(
+            "no flat-weight characterization for family %r" % datum.label
+        )
+    check_characteristic(p)
+    kind, params = family.kind, family.params
+    if kind == "q":
+        (n,) = params
+        lattice.check_rank(lam, n)
+        for i in range(n - 1):
+            if lam[i] < lam[i + 1]:
+                return False
+            if lam[i] == lam[i + 1]:
+                if p == 0:
+                    if lam[i] != 0:
+                        return False
+                elif lam[i] % p != 0:
+                    return False
+        return True
+    m, n = params
+    lattice.check_rank(lam, m + n)
+    blocks = (lam[:m], lam[m:])
+    return all(
+        all(block[i] >= block[i + 1] for i in range(len(block) - 1)) for block in blocks
+    )
+
+
+# ---------------------------------------------------------------------------
+# Helpers that only the tests call.
+
+
+def bw_multiply(n: int, m: int) -> Tuple[int, int]:
+    """Product of two raising divided powers: coefficient and exponent."""
+    if m < 0 or n < 0:
+        raise ParameterError("exponents must be nonnegative")
+    return comb(n + m, n), n + m
+
+
+def lucas_binom(n: int, k: int, p: int) -> int:
+    """binom(n, k) mod p via base-p digits."""
+    check_odd_prime(p)
+    if n < 0 or k < 0:
+        raise ParameterError("lucas_binom needs nonnegative arguments")
+    out = 1
+    while k or n:
+        out = out * comb(n % p, k % p) % p
+        n //= p
+        k //= p
+    return out
+
+
+def upsilon_leading(
+    ch: CharacterElement, order: OrderFunctional
+) -> Tuple[Weight, int]:
+    """The unique term of maximal order value; raises on ties or zero."""
+    if not ch.terms:
+        raise ParameterError("zero character has no leading term")
+    values = [order.eval(w) for w, _ in ch.terms]
+    top = max(values)
+    if values.count(top) != 1:
+        raise ParameterError("leading term is not unique")
+    return ch.terms[values.index(top)]
+
+
+def may_fail_absolute_simplicity(datum: SuperRootDatum) -> bool:
+    """True when the root system contains weight zero (nontrivial odd
+    Cartan): simple supermodules need not stay simple under base change."""
+    return datum.h_odd_dim > 0
+
+
+def gl11_closed_form(lam, p):
+    """Independent digit expansion: canonical residues while the remainder
+    shrinks, one signed terminal digit otherwise."""
+    digits = []
+    mu = tuple(lam)
+    while any(mu):
+        if max(abs(c) for c in mu) == 1 and any(c == -1 for c in mu):
+            digits.append(mu)
+            break
+        d = tuple(c % p for c in mu)
+        digits.append(d)
+        mu = tuple((c - dc) // p for c, dc in zip(mu, d))
+    return digits

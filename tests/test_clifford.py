@@ -9,13 +9,12 @@ from superroot.clifford import (
     CliffordForm,
     form_rank,
     gram_form,
-    may_fail_absolute_simplicity,
     u_lambda_dim_closed,
 )
 from superroot.liesuper import eval_weight_on_cartan, gl_superalgebra, q_superalgebra
 from superroot.rootdata import ParameterError, build_gl, build_p, build_q
 
-from oracles import RationalField, clifford_simple_dim, rank_mod_p
+from oracles import RationalField, clifford_simple_dim, may_fail_absolute_simplicity, rank_mod_p
 
 
 def diag_form(entries, char_p=0):

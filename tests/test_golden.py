@@ -26,3 +26,29 @@ def test_golden_cli_corpus(capsys, tmp_path):
     assert not mismatches, "%d of %d entries differ, first: %r" % (
         len(mismatches), len(entries), mismatches[0]
     )
+
+
+if __name__ == "__main__":
+    # Replay without pytest: the test above, given a redirected stdout in
+    # place of capsys and a temporary directory in place of tmp_path.
+    import contextlib
+    import io
+    import pathlib
+    import tempfile
+
+    class StdoutCapture:
+        def __init__(self):
+            self.buffer = io.StringIO()
+
+        def readouterr(self):
+            out = self.buffer.getvalue()
+            self.buffer.seek(0)
+            self.buffer.truncate()
+            return type("CaptureResult", (), {"out": out})
+
+    capture = StdoutCapture()
+    with tempfile.TemporaryDirectory() as workdir, contextlib.redirect_stdout(capture.buffer):
+        test_golden_cli_corpus(capture, pathlib.Path(workdir))
+    with open(CORPUS, encoding="utf-8") as fh:
+        count = len(json.load(fh)["entries"])
+    print("golden corpus: all %d entries replay byte-identically" % count)

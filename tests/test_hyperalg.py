@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 from superroot.hyperalg import (
     DividedMonomial,
     _binom_int,
-    bw_multiply,
-    lucas_binom,
     normal_order,
     verify_commutator_formula,
 )
 from superroot.rootdata import ParameterError
 
-from oracles import reference_divided_action
+from oracles import bw_multiply, lucas_binom, reference_divided_action
 
 
 def image(dm, mono):

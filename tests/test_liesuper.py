@@ -1,5 +1,7 @@
 import functools
+import itertools
 import random
+import signal
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -359,7 +361,7 @@ def test_weight_grading(kind, params):
     # [H, x] = x.weight(H) x on the even Cartan, read from the brackets
     # alone, independently of the dense reference.
     L = SPARSE[kind](*params)
-    for t in L.even_cartan():
+    for t in L.weight_space(lattice.zero(L.rank), EVEN):
         for x in L.basis:
             got = L.bracket(t, x)
             expect = eval_weight_on_cartan(L, x.weight, t)
@@ -656,6 +658,61 @@ def test_cone_solver_answers_under_a_wide_order():
         assert report.condition("generation") and not report.condition("separation")
 
 
+def _within_ten_seconds(what, answer):
+    def give_up(signum, frame):
+        raise TimeoutError("%s took over 10 s" % what)
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(10)
+    try:
+        return answer()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _with_every_positive_odd_root(datum, values):
+    order = OrderFunctional.from_values(values)
+    psi_odd = sorted({r for r, _ in datum.odd_roots if order.eval(r) > 0})
+    return order, simple_even_roots(datum, order), psi_odd
+
+
+@pytest.mark.parametrize("mode", ["assisted", "strict"])
+def test_cone_answers_gl33_under_a_wide_order_as_the_reference_does(mode):
+    # Four simple even roots and nine odd ones, with eight relations
+    # among them, and order values from 2 to 3,005.
+    datum, L = build_gl(3, 3), gl_superalgebra(3, 3)
+    order, psi_even, psi_odd = _with_every_positive_odd_root(datum, [5, 3, -2, -40, -900, -3000])
+    report = _within_ten_seconds(
+        "gl(3|3) " + mode,
+        lambda: check_admissible_base(L, datum, order, psi_even, psi_odd, mode=mode),
+    )
+    assert report == oracles.reference_check_admissible_base(
+        L, datum, order, psi_even, psi_odd, mode=mode
+    )
+
+
+@pytest.mark.parametrize("mode", ["assisted", "strict"])
+def test_cone_answers_p4_under_a_wide_order(mode):
+    # Every positive root is a base element or a sum of simple even
+    # roots, so generation (a) holds; the thirteen base elements carry
+    # nine relations, with order values from 2 to 2,000.
+    datum, L = build_p(4), p_superalgebra(4)
+    order, psi_even, psi_odd = _with_every_positive_odd_root(datum, [1000, 100, 10, 1])
+    sums = {
+        tuple(map(sum, zip(*roots)))
+        for k in range(1, len(psi_even) + 1)
+        for roots in itertools.combinations(psi_even, k)
+    }
+    positive = [r for r in datum.all_roots() if order.eval(r) > 0]
+    assert all(r in psi_odd or r in sums for r in positive)
+    report = _within_ten_seconds(
+        "p(4) " + mode,
+        lambda: check_admissible_base(L, datum, order, psi_even, psi_odd, mode=mode),
+    )
+    assert report.condition("generation")
+
+
 @st.composite
 def cone_requests(draw):
     """A base of up to six vectors in rank 1-3 and four in rank 4-5, with
@@ -702,6 +759,21 @@ def test_coordinate_solver_matches_fraction_reference(request, data):
     independent = oracles.fraction_coordinate_solver(base, rank)
     if independent is not None:
         assert got == [independent(t) for t in targets]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cone_requests(), st.data())
+def test_cone_solver_answers_alike_for_any_order_of_the_base(request, data):
+    # The base is sorted by decreasing order value, ties in the caller's
+    # order, so a reversed or shuffled base gives another elimination
+    # whenever two elements share a value: the answers stay the same.
+    base, rank, targets = request
+    order = OrderFunctional(tuple(data.draw(st.lists(RATIONAL, min_size=rank, max_size=rank))))
+    base = [psi if order.eval(psi) > 0 else lattice.neg(psi) for psi in base if order.eval(psi)]
+    got = [_cone_solver(base, order, rank)(t) for t in targets]
+    for other in (base[::-1], data.draw(st.permutations(base))):
+        member = _cone_solver(other, order, rank)
+        assert [member(t) for t in targets] == got
 
 
 def _count_eliminations_and_solves(monkeypatch):

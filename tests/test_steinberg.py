@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import reference_decompose, shift_boxes
+from oracles import gl11_closed_form, reference_decompose, shift_boxes, upsilon_leading
 from superroot import lattice, steinberg
 from superroot.cli import default_psi_odd
 from superroot.clifford import gram_form
 from superroot.lattice import DimensionMismatch
 from superroot.liesuper import gl_superalgebra, lie_algebra_for, q_superalgebra
 from superroot.rootdata import (
+    Family,
     OrderFunctional,
     ParameterError,
     build_gl,
@@ -36,7 +37,6 @@ from superroot.steinberg import (
     is_restricted,
     steinberg_character,
     steinberg_decompose,
-    upsilon_leading,
     _shifts,
 )
 
@@ -53,21 +53,6 @@ def setup_family(datum, psi_odd=None):
 GL11 = setup_family(build_gl(1, 1), psi_odd=[(1, -1)])
 GL21 = setup_family(build_gl(2, 1), psi_odd=[(0, 1, -1)])
 Q2 = setup_family(build_q(2))
-
-
-def gl11_closed_form(lam, p):
-    """Independent digit expansion: canonical residues while the remainder
-    shrinks, one signed terminal digit otherwise."""
-    digits = []
-    mu = tuple(lam)
-    while any(mu):
-        if max(abs(c) for c in mu) == 1 and any(c == -1 for c in mu):
-            digits.append(mu)
-            break
-        d = tuple(c % p for c in mu)
-        digits.append(d)
-        mu = tuple((c - dc) // p for c, dc in zip(mu, d))
-    return digits
 
 
 # -- dominance and flatness ---------------------------------------------------
@@ -108,6 +93,47 @@ def test_flat_char_zero_equal_coordinates():
 def test_flat_unsupported_family():
     with pytest.raises(UnsupportedFamilyError):
         is_flat(build_p(2), 3, (1, 0))
+
+
+FLAT_FAMILIES = (
+    [("gl", (m, n)) for m in range(1, 5) for n in range(1, 5)]
+    + [("q", (n,)) for n in range(1, 7)]
+    + [("p", (3,))]
+)
+
+
+@st.composite
+def flat_requests(draw):
+    """gl(m|n) with 1 <= m, n <= 4 and q(1)-q(6) at p in {0, 3, 5, 7},
+    coordinates in [-4, 4] so that equal neighbours are common; now and
+    then a weight one coordinate too long or short, p in {2, 9}, or the
+    p(3) datum, which has no flat rule."""
+    kind, params = draw(st.sampled_from(FLAT_FAMILIES))
+    datum = Family(kind, params).build()
+    if draw(st.integers(0, 9)):
+        p = draw(st.sampled_from([0, 3, 5, 7]))
+    else:
+        p = draw(st.sampled_from([2, 9]))
+    length = datum.rank
+    if not draw(st.integers(0, 9)):
+        length += draw(st.sampled_from([-1, 1]))
+    lam = tuple(draw(st.lists(st.integers(-4, 4), min_size=length, max_size=length)))
+    return datum, p, lam
+
+
+def _flat_outcome(flat, datum, p, lam):
+    try:
+        return flat(datum, p, lam)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(flat_requests())
+def test_one_flatness_rule_matches_the_two_rule_reference(request):
+    got = _flat_outcome(is_flat, *request)
+    want = _flat_outcome(oracles.reference_is_flat, *request)
+    assert got == want and type(got) is type(want)
 
 
 # -- restriction ----------------------------------------------------------------
@@ -542,7 +568,8 @@ def test_steinberg_character_total_dim():
     a = char_add(e(1, 0), e(0, 1))
     b = char_add(e(2, 0), char_add(e(1, 1), e(0, 2)))
     out = steinberg_character([a, b], 3)
-    assert out.total_dim() == a.total_dim() * b.total_dim()
+    out_dim, a_dim, b_dim = (sum(m for _, m in ch.terms) for ch in (out, a, b))
+    assert out_dim == a_dim * b_dim
 
 
 def test_upsilon_leading():
