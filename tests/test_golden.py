@@ -35,6 +35,7 @@ if __name__ == "__main__":
     import io
     import pathlib
     import tempfile
+    from types import SimpleNamespace
 
     class StdoutCapture:
         def __init__(self):
@@ -44,7 +45,7 @@ if __name__ == "__main__":
             out = self.buffer.getvalue()
             self.buffer.seek(0)
             self.buffer.truncate()
-            return type("CaptureResult", (), {"out": out})
+            return SimpleNamespace(out=out)
 
     capture = StdoutCapture()
     with tempfile.TemporaryDirectory() as workdir, contextlib.redirect_stdout(capture.buffer):
