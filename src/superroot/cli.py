@@ -411,7 +411,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error("argument --%s: expected one argument" % dest.replace("_", "-"))
     try:
         payload, code = _jsonable(args.fn(args)), 0
-    except (lattice.SuperrootError, OSError, json.JSONDecodeError) as exc:
+    except lattice.SuperrootError as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         code = 1
     emit(payload, args.json)

@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 from . import lattice
 from .lattice import Weight
-from .liesuper import LieSuperAlgebra, eval_weight_on_cartan
+from .liesuper import ODD, LieSuperAlgebra, eval_weight_on_cartan
 from .rootdata import check_characteristic
 
 
@@ -31,7 +31,7 @@ def gram_form(L: LieSuperAlgebra, lam: Weight, char_p: int = 0) -> CliffordForm:
     each unordered pair s <= t is bracketed and evaluated once."""
     check_characteristic(char_p, "char_p")
     lattice.check_rank(lam, L.rank)
-    ks = L.odd_cartan()
+    ks = L.weight_space(lattice.zero(L.rank), ODD)
     size = len(ks)
     gram: List[List[int]] = [[0] * size for _ in range(size)]
     for s in range(size):

@@ -64,8 +64,7 @@ class LieSuperAlgebra:
     """Finite homogeneous basis whose basis-pair brackets are formed on
     first use and kept."""
 
-    def __init__(self, family: str, rank: int, size: int, basis: List[BasisElement]):
-        self.family = family
+    def __init__(self, rank: int, size: int, basis: List[BasisElement]):
         self.rank = rank
         self.size = size
         self.basis = basis
@@ -87,10 +86,8 @@ class LieSuperAlgebra:
                 ({i for (i, _j), _v in b.matrix}, {j for (_i, j), _v in b.matrix})
             )
             self._spaces.setdefault((b.weight, b.parity), []).append(b)
-        # The nonzero basis-pair brackets formed so far, and the pairs
-        # formed whose bracket is zero.
+        # The basis-pair brackets formed so far, zero ones included.
         self.bracket_table: Dict[Tuple[int, int], Element] = {}
-        self._zero_pairs: Set[Tuple[int, int]] = set()
 
     # -- coordinates ----------------------------------------------------
 
@@ -176,14 +173,9 @@ class LieSuperAlgebra:
         commutator when b_i and b_j share no index (:meth:`meets`)."""
         if not self.meets(self._indices[i], self._indices[j]):
             return {}
-        if (i, j) in self._zero_pairs:
-            return {}
         x, y = self.basis[i], self.basis[j]
         coeffs = self.decompose(super_commutator(x.matrix, y.matrix, x.parity, y.parity))
-        if coeffs:
-            self.bracket_table[(i, j)] = coeffs
-        else:
-            self._zero_pairs.add((i, j))
+        self.bracket_table[(i, j)] = coeffs
         return coeffs
 
     def bracket(
@@ -200,8 +192,6 @@ class LieSuperAlgebra:
                 entry = table.get((i, j))
                 if entry is None:
                     entry = self._pair_bracket(i, j)
-                    if not entry:
-                        continue
                 c = ci * cj
                 for k, v in entry.items():
                     out[k] = out.get(k, 0) + c * v
@@ -212,9 +202,6 @@ class LieSuperAlgebra:
     def weight_space(self, w: Weight, parity: str) -> List[BasisElement]:
         lattice.check_rank(w, self.rank)
         return list(self._spaces.get((tuple(w), parity), ()))
-
-    def odd_cartan(self) -> List[BasisElement]:
-        return self.weight_space(lattice.zero(self.rank), ODD)
 
     def even_root_vector(self, alpha: Weight) -> BasisElement:
         space = self.weight_space(alpha, EVEN)
@@ -241,18 +228,16 @@ def _units(rank: int, sign: int = 1) -> List[Weight]:
 
 
 def _model(
-    family: Family,
-    rows: Sequence[Weight],
-    basis: Iterable[Tuple[str, str, Mapping[Entry, int]]],
+    rows: Sequence[Weight], basis: Iterable[Tuple[str, str, Mapping[Entry, int]]]
 ) -> LieSuperAlgebra:
-    """The model of ``family`` on the basis (parity, name, entries)."""
+    """The model on the basis (parity, name, entries)."""
     elements: List[BasisElement] = []
     for index, (parity, name, entries) in enumerate(basis):
         mat = _matrix(entries)
         (a, b), _v = mat[0]
         weight = lattice.sub(rows[a], rows[b])
         elements.append(BasisElement(index, parity, weight, mat, name))
-    return LieSuperAlgebra(str(family), len(rows[0]), len(rows), elements)
+    return LieSuperAlgebra(len(rows[0]), len(rows), elements)
 
 
 def _name(letter: str, i: int, j: int, diagonal: str = "") -> str:
@@ -262,18 +247,18 @@ def _name(letter: str, i: int, j: int, diagonal: str = "") -> str:
 
 
 def gl_superalgebra(m: int, n: int) -> LieSuperAlgebra:
-    family = Family("gl", (m, n)).checked("gl(m|n)")
+    Family("gl", (m, n)).checked("gl(m|n)")
     size = m + n
     cells = [(i, j) for i in range(size) for j in range(size)]
     basis = [
         (EVEN, _name("X", i, j, "H"), {(i, j): 1}) for i, j in cells if (i < m) == (j < m)
     ]
     basis += [(ODD, _name("Y", i, j), {(i, j): 1}) for i, j in cells if (i < m) != (j < m)]
-    return _model(family, _units(size), basis)
+    return _model(_units(size), basis)
 
 
 def q_superalgebra(n: int) -> LieSuperAlgebra:
-    family = Family("q", (n,)).checked("q(n)")
+    Family("q", (n,)).checked("q(n)")
     cells = [(i, j) for i in range(n) for j in range(n)]
     basis = [
         (EVEN, _name("X", i, j, "H"), {(i, j): 1, (n + i, n + j): 1}) for i, j in cells
@@ -281,11 +266,11 @@ def q_superalgebra(n: int) -> LieSuperAlgebra:
     basis += [
         (ODD, _name("Y", i, j, "K"), {(i, n + j): 1, (n + i, j): 1}) for i, j in cells
     ]
-    return _model(family, _units(n) * 2, basis)
+    return _model(_units(n) * 2, basis)
 
 
 def p_superalgebra(n: int) -> LieSuperAlgebra:
-    family = Family("p", (n,)).checked("p(n)")
+    Family("p", (n,)).checked("p(n)")
     cells = [(i, j) for i in range(n) for j in range(n)]
     basis = [
         (EVEN, _name("X", i, j, "H"), {(i, j): 1, (n + j, n + i): -1}) for i, j in cells
@@ -297,7 +282,7 @@ def p_superalgebra(n: int) -> LieSuperAlgebra:
     basis += [
         (ODD, _name("C", i, j), {(n + i, j): 1, (n + j, i): -1}) for i, j in cells if i < j
     ]
-    return _model(family, _units(n) + _units(n, -1), basis)
+    return _model(_units(n) + _units(n, -1), basis)
 
 
 def lie_algebra_for(datum: SuperRootDatum) -> LieSuperAlgebra:

@@ -210,10 +210,6 @@ class SuperRootDatum(
         return self
 
     @property
-    def even_root_weights(self) -> List[Weight]:
-        return [r for r, _ in self.even_roots]
-
-    @property
     def n_even(self) -> int:
         """dim of the even part of the Lie superalgebra: roots plus Cartan."""
         return len(self.even_roots) + self.rank
@@ -231,9 +227,7 @@ class SuperRootDatum(
 
     def all_roots(self) -> List[Weight]:
         """Every nonzero root, even and odd (odd multiplicities ignored)."""
-        out = list(self.even_root_weights)
-        out.extend(r for r, _ in self.odd_roots)
-        return out
+        return [r for r, _ in self.even_roots] + [r for r, _ in self.odd_roots]
 
 
 _RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
@@ -616,13 +610,13 @@ def _has_family_roots(datum: SuperRootDatum, family: Family) -> bool:
 
 
 def parse_json(text: str):
-    """``json.loads`` for user text; a number longer than Python's
-    int-to-str limit or nesting deeper than the parser's stack is a
-    ParameterError."""
+    """``json.loads`` for user text; text that is not JSON, a number
+    longer than Python's int-to-str limit or nesting deeper than the
+    parser's stack is a ParameterError."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
-        raise
+    except json.JSONDecodeError as exc:
+        raise ParameterError(str(exc)) from None
     except RecursionError:
         raise ParameterError("the JSON text is nested too deeply") from None
     except ValueError:  # an integer literal beyond sys.get_int_max_str_digits()
@@ -633,12 +627,14 @@ def parse_json(text: str):
 
 
 def load_json(path: str):
-    """:func:`parse_json` on a user's file; a file that is not UTF-8 is
-    a ParameterError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """:func:`parse_json` on a user's file; a file that cannot be read or
+    is not UTF-8 is a ParameterError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParameterError("%s: %s" % (path, exc)) from None
+    except OSError as exc:
+        raise ParameterError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ParameterError("%s: %s" % (path, exc)) from None
     return parse_json(text)
 

@@ -377,13 +377,6 @@ class CharacterElement(namedtuple("CharacterElement", "rank terms")):
             lattice.check_rank(w, rank)
         return CharacterElement(rank, tuple(sorted(clean.items())))
 
-    @staticmethod
-    def monomial(weight: Weight, mult: int = 1) -> "CharacterElement":
-        return CharacterElement.from_dict(len(weight), {tuple(weight): mult})
-
-    def as_dict(self) -> Dict[Weight, int]:
-        return dict(self.terms)
-
 
 def _check_same_rank(a: CharacterElement, b: CharacterElement) -> None:
     if a.rank != b.rank:
@@ -394,7 +387,7 @@ def _check_same_rank(a: CharacterElement, b: CharacterElement) -> None:
 
 def char_add(a: CharacterElement, b: CharacterElement) -> CharacterElement:
     _check_same_rank(a, b)
-    out = a.as_dict()
+    out = dict(a.terms)
     for w, m in b.terms:
         out[w] = out.get(w, 0) + m
     return CharacterElement.from_dict(a.rank, out)

@@ -749,8 +749,7 @@ class DenseLieSuperAlgebra:
     """Finite homogeneous basis plus the exact bracket table, with every
     matrix stored dense."""
 
-    def __init__(self, family: str, rank: int, size: int, basis: List[BasisElement]):
-        self.family = family
+    def __init__(self, rank: int, size: int, basis: List[BasisElement]):
         self.rank = rank
         self.size = size
         self.basis = basis
@@ -834,7 +833,7 @@ def dense_gl_superalgebra(m: int, n: int) -> LieSuperAlgebra:
                 odd.append(("Y[%d,%d]" % (i + 1, j + 1), weight, _freeze(mat)))
     for name, weight, mat in odd:
         basis.append(BasisElement(len(basis), ODD, weight, mat, name))
-    return DenseLieSuperAlgebra("gl(%d|%d)" % (m, n), size, size, basis)
+    return DenseLieSuperAlgebra(size, size, basis)
 
 
 def dense_q_superalgebra(n: int) -> LieSuperAlgebra:
@@ -858,7 +857,7 @@ def dense_q_superalgebra(n: int) -> LieSuperAlgebra:
             name = "K_%d" % (i + 1) if i == j else "Y[%d,%d]" % (i + 1, j + 1)
             weight = lattice.unit_difference(n, i, j)
             basis.append(BasisElement(len(basis), ODD, weight, _freeze(mat), name))
-    return DenseLieSuperAlgebra("q(%d)" % n, n, size, basis)
+    return DenseLieSuperAlgebra(n, size, basis)
 
 
 def dense_p_superalgebra(n: int) -> LieSuperAlgebra:
@@ -903,7 +902,7 @@ def dense_p_superalgebra(n: int) -> LieSuperAlgebra:
                     len(basis), ODD, weight, _freeze(mat), "C[%d,%d]" % (i + 1, j + 1)
                 )
             )
-    return DenseLieSuperAlgebra("p(%d)" % n, n, size, basis)
+    return DenseLieSuperAlgebra(n, size, basis)
 
 
 # ---------------------------------------------------------------------------

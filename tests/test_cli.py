@@ -669,6 +669,43 @@ def test_unreadable_json_is_a_structured_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, read",
+    [
+        (["describe", "--family", "file", "--file", "{tmp}/missing.json"],
+         lambda tmp: open(tmp + "/missing.json", encoding="utf-8")),
+        (["describe", "--family", "file", "--file", "{tmp}"],
+         lambda tmp: open(tmp, encoding="utf-8")),
+        (["char", "--op", "add", "--a", "@{tmp}/missing.json", "--b", CHAR_1],
+         lambda tmp: open(tmp + "/missing.json", encoding="utf-8")),
+        (["char", "--op", "add", "--a", '{"terms":', "--b", CHAR_1],
+         lambda tmp: json.loads('{"terms":')),
+    ],
+    ids=["file-missing", "file-is-a-directory", "at-file-missing", "inline-malformed"],
+)
+def test_unreadable_file_or_malformed_json_is_a_parameter_error(capsys, tmp_path, argv, read):
+    # The message is the text of the OSError or json.JSONDecodeError
+    # that reading the input raises.
+    tmp = str(tmp_path)
+    with pytest.raises((OSError, ValueError)) as err:
+        read(tmp)
+    code, payload = run_json(capsys, *[tok.replace("{tmp}", tmp) for tok in argv])
+    assert code == 1
+    assert payload == {"error": {"type": "ParameterError", "message": str(err.value)}}
+
+
+def test_an_error_raised_while_computing_propagates(capsys, monkeypatch):
+    # Only a SuperrootError becomes a structured error; an OSError raised
+    # by the computation itself, such as a timer's TimeoutError, is not one.
+    def cut(*args, **kwargs):
+        raise TimeoutError("cut")
+
+    monkeypatch.setattr(liesuper, "check_admissible_base", cut)
+    with pytest.raises(TimeoutError, match="^cut$"):
+        main(["--json", "admissible", "--family", "gl", "--m", "3", "--n", "3"])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["decompose", "--family", "q", "--n=1", "--weight=--", "--p=3"],

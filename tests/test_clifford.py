@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superroot import clifford
+from superroot import clifford, lattice
 from superroot.clifford import (
     CliffordForm,
     form_rank,
     gram_form,
     u_lambda_dim_closed,
 )
-from superroot.liesuper import eval_weight_on_cartan, gl_superalgebra, q_superalgebra
+from superroot.liesuper import ODD, eval_weight_on_cartan, gl_superalgebra, q_superalgebra
 from superroot.rootdata import ParameterError, build_gl, build_p, build_q
 
 from oracles import RationalField, clifford_simple_dim, may_fail_absolute_simplicity, rank_mod_p
@@ -73,7 +73,7 @@ def test_gram_is_symmetric_by_super_skew_symmetry(lam, char_p):
     L = q_superalgebra(len(lam))
     form = gram_form(L, tuple(lam), char_p)
     assert form.gram == tuple(zip(*form.gram))
-    ks = L.odd_cartan()
+    ks = L.weight_space(lattice.zero(L.rank), ODD)
     for s in range(len(ks)):
         for t in range(len(ks)):
             value = eval_weight_on_cartan(L, tuple(lam), L.bracket(ks[t], ks[s]))

@@ -4,6 +4,7 @@ import random
 import signal
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
@@ -100,7 +101,7 @@ def test_weight_space_gl21():
 def test_weight_space_q_odd_cartan():
     for n in (1, 2, 3):
         L = q_superalgebra(n)
-        assert len(L.odd_cartan()) == n == build_q(n).h_odd_dim
+        assert len(L.weight_space(lattice.zero(L.rank), ODD)) == n == build_q(n).h_odd_dim
 
 
 def test_weight_space_missing_weight():
@@ -118,7 +119,7 @@ def test_weight_space_missing_weight():
         (build_p(2), p_superalgebra(2)),
         (build_p(3), p_superalgebra(3)),
     ],
-    ids=lambda v: getattr(v, "label", None) or getattr(v, "family", ""),
+    ids=["gl(2|1)", "gl(2|2)", "q(2)", "q(3)", "p(2)", "p(3)"],
 )
 def test_weight_space_dims_match_datum(datum, L):
     for root, mult in datum.odd_roots:
@@ -129,9 +130,9 @@ def test_weight_space_dims_match_datum(datum, L):
 
 
 def test_lie_algebra_for_handles():
-    assert lie_algebra_for(build_gl(2, 1)).family == "gl(2|1)"
-    assert lie_algebra_for(build_q(2)).family == "q(2)"
-    assert lie_algebra_for(build_p(2)).family == "p(2)"
+    assert lie_algebra_for(build_gl(2, 1)).basis == gl_superalgebra(2, 1).basis
+    assert lie_algebra_for(build_q(2)).basis == q_superalgebra(2).basis
+    assert lie_algebra_for(build_p(2)).basis == p_superalgebra(2).basis
 
 
 # -- structure properties ---------------------------------------------------
@@ -141,7 +142,7 @@ def _parity_sign(px, py):
     return -1 if (px == ODD and py == ODD) else 1
 
 
-@pytest.mark.parametrize("L", [gl_superalgebra(1, 1), q_superalgebra(2), p_superalgebra(2)], ids=lambda L: L.family)
+@pytest.mark.parametrize("L", [gl_superalgebra(1, 1), q_superalgebra(2), p_superalgebra(2)], ids=["gl(1|1)", "q(2)", "p(2)"])
 def test_super_skew_symmetry(L):
     for x in L.basis:
         for y in L.basis:
@@ -321,7 +322,7 @@ def test_eval_weight_rejects_non_cartan():
     with pytest.raises(ParameterError):
         eval_weight_on_cartan(L, (1, 0), L.even_root_vector((1, -1)))
     with pytest.raises(ParameterError):
-        eval_weight_on_cartan(L, (1, 0), L.odd_cartan()[0])
+        eval_weight_on_cartan(L, (1, 0), L.weight_space(lattice.zero(L.rank), ODD)[0])
 
 
 # -- the sparse models against the dense reference ----------------------------
@@ -386,7 +387,7 @@ def _reference_entries(table, dim):
 @pytest.mark.parametrize("kind, params", MODELS, ids=lambda v: str(v))
 def test_bracket_table_matches_dense_reference(kind, params):
     L, ref = SPARSE[kind](*params), DENSE[kind](*params)
-    assert (L.family, L.rank, L.size) == (ref.family, ref.rank, ref.size)
+    assert (L.rank, L.size) == (ref.rank, ref.size)
     assert [(b.index, b.parity, b.weight, b.name) for b in L.basis] == [
         (b.index, b.parity, b.weight, b.name) for b in ref.basis
     ]
@@ -409,7 +410,7 @@ def test_bracket_table_matches_all_pairs_reference(kind, params):
     L = SPARSE[kind](*params)
     reference = oracles.all_pairs_bracket_table(L)
     assert _pair_entries(L) == _reference_entries(reference, L.dim)
-    assert L.bracket_table == reference
+    assert {pair: coeffs for pair, coeffs in L.bracket_table.items() if coeffs} == reference
 
 
 SCALING = [("gl", (k, k)) for k in range(1, 7)]
@@ -494,7 +495,7 @@ def test_model_builders_refuse_ranks_above_the_limit(monkeypatch, build, fits, t
 )
 def test_model_refuses_a_basis_it_cannot_index(basis, message):
     with pytest.raises(ValueError) as err:
-        liesuper.LieSuperAlgebra("gl", 1, 2, basis)
+        liesuper.LieSuperAlgebra(1, 2, basis)
     assert err.type is ValueError and str(err.value) == message
 
 
@@ -566,6 +567,28 @@ def test_admissible_check_matches_fraction_reference(request):
         oracles.reference_check_admissible_base, L, datum, order, psi_even, psi_odd, mode=mode
     )
     assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(base_requests())
+def test_admissible_closures_have_one_entry_rows(request):
+    # The generators are basis vectors of positive weight, so every bracket
+    # of them has a nonzero weight, and in gl(m|n), q(n) and p(n) each
+    # (nonzero weight, parity) space is spanned by at most one basis
+    # vector: every row the closure keeps is a multiple of a basis vector.
+    datum, order, psi_even, psi_odd, mode = request
+    L = lie_algebra_for(datum)
+    received = []
+    saturation = liesuper._saturation
+
+    def recording_saturation(rows, dim):
+        received.append(rows)
+        return saturation(rows, dim)
+
+    with mock.patch.object(liesuper, "_saturation", recording_saturation):
+        check_admissible_base(L, datum, order, psi_even, psi_odd, mode=mode)
+    assert len(received) <= 1
+    assert all(len(row) == 1 for rows in received for row in rows.values())
 
 
 @pytest.mark.parametrize("mode", ["assisted", "strict"])
@@ -713,6 +736,41 @@ def test_cone_answers_p4_under_a_wide_order(mode):
     assert report.condition("generation")
 
 
+@pytest.mark.parametrize(
+    "datum, values, tied",
+    [(build_p(4), [1000, 100, 10, 1], False), (build_gl(2, 2), None, True)],
+    ids=["p4-wide-order", "gl22-default-order"],
+)
+def test_cone_takes_its_base_in_decreasing_order_value(monkeypatch, datum, values, tied):
+    # The [B | I] rows of the cone's one hnf list the base by non-increasing
+    # order value, ties in the caller's order: psi_even sorted, then the new
+    # psi_odd roots sorted.  gl(2|2)'s default order ties some of them.
+    order = default_order(datum) if values is None else OrderFunctional.from_values(values)
+    _, psi_even, psi_odd = _with_every_positive_odd_root(datum, order.values)
+    formed = []
+    hnf = lattice.hnf
+
+    def recording_hnf(rows):
+        rows = [tuple(row) for row in rows]
+        formed.append(rows)
+        return hnf(rows)
+
+    monkeypatch.setattr(lattice, "hnf", recording_hnf)
+    L = lie_algebra_for(datum)
+    _within_ten_seconds(
+        str(datum.family),
+        lambda: check_admissible_base(L, datum, order, psi_even, psi_odd),
+    )
+    rows, rank = formed[0], datum.rank
+    base = list(dict.fromkeys(sorted(psi_even) + sorted(psi_odd)))
+    expected = sorted(base, key=order.eval, reverse=True)
+    assert [row[:rank] for row in rows] == expected
+    assert [row[rank:] for row in rows] == [
+        tuple(int(s == t) for s in range(len(base))) for t in range(len(base))
+    ]
+    assert (len(set(map(order.eval, base))) < len(base)) == tied
+
+
 @st.composite
 def cone_requests(draw):
     """A base of up to six vectors in rank 1-3 and four in rank 4-5, with
@@ -852,8 +910,9 @@ def _count_calls(monkeypatch, module_attrs):
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_gl_check_calls_hnf_twice(monkeypatch, k):
     # One hnf for the coordinate solver and one inside the single
-    # integer kernel that saturates the closure; in_lattice reads the
-    # closure's HNF as it is.
+    # integer kernel that saturates the closure: every closure row has one
+    # entry, so that kernel has no coordinates and its hnf is hnf([]).
+    # in_lattice reads the closure's HNF as it is.
     datum = build_gl(k, k)
     L, order = lie_algebra_for(datum), default_order(datum)
     psi_even = simple_even_roots(datum, order)

@@ -96,7 +96,7 @@ def _records():
         clifford.gram_form(liesuper.lie_algebra_for(rootdata.build_q(2)), (1, 0), 3),
         restricted.per_root[0],
         restricted,
-        steinberg.CharacterElement.monomial((1, 2), 3),
+        steinberg.CharacterElement.from_dict(2, {(1, 2): 3}),
         hyperalg.normal_order(2, 1)[1],
         hyperalg.verify_commutator_formula(1, 1, 2),
     ]

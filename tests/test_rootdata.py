@@ -127,7 +127,7 @@ def test_build_semidirect_rejects_odd_base():
 
 @pytest.mark.parametrize("d", ALL_FAMILIES, ids=lambda d: d.label)
 def test_datum_invariants(d):
-    roots = d.even_root_weights
+    roots = [r for r, _ in d.even_roots]
     total = lattice.zero(d.rank)
     for r, c in d.even_roots:
         assert lattice.neg(r) in roots
@@ -553,7 +553,7 @@ def test_prime_power_is_bounded_before_it_is_computed():
         lambda r: pbw_monomial_count(build_q(2), 3, r),
         lambda r: induced_dims(_split(build_q(2)), 3, r, 1),
         lambda r: _is_restricted_q2(3, r),
-        lambda r: steinberg.frobenius_twist(steinberg.CharacterElement.monomial((1, 0)), 3, r),
+        lambda r: steinberg.frobenius_twist(steinberg.CharacterElement.from_dict(2, {(1, 0): 1}), 3, r),
     ):
         with pytest.raises(ParameterError, match="-bit limit on p"):
             call(10**12)
